@@ -1343,13 +1343,6 @@ fn write_file(path: &PathBuf, contents: &str) -> Result<(), CliError> {
 /// Export the collected telemetry to the requested files.
 fn export_telemetry(t: &muri_telemetry::Telemetry, opts: &TelemetryOpts) -> Result<(), CliError> {
     if let Some(path) = &opts.journal {
-        if t.journal.dropped() > 0 {
-            eprintln!(
-                "warning: journal overflowed, {} event(s) dropped (capacity {})",
-                t.journal.dropped(),
-                t.journal.capacity()
-            );
-        }
         write_file(path, &t.journal.to_jsonl())?;
         eprintln!(
             "journal:      {} events -> {}",
@@ -1378,13 +1371,15 @@ fn export_telemetry(t: &muri_telemetry::Telemetry, opts: &TelemetryOpts) -> Resu
     Ok(())
 }
 
-/// `muri sim <policy> [--trace 1-4 | --csv FILE] [--scale S] [--machines N]
-///                    [--journal FILE] [--metrics FILE] [--chrome-trace FILE]
-///                    [--prune-top-m M] [--prune-loss-bound F]
-///                    [--shard-by auto|off|force] [--shard-size N] [--candidate-m M]`
-fn run_sim(policy: PolicyKind, args: &[String]) -> Result<(), CliError> {
-    let (topts, rest) = split_telemetry_opts(args)?;
-    let (popts, rest) = split_prune_opts(&rest)?;
+/// The workload and `SimConfig` shared by `sim` and `verify`: the
+/// testbed preset of `policy` with the prune, shard and fault options and
+/// the machine count applied. Also says whether any fault option was
+/// given.
+fn sim_setup(
+    policy: PolicyKind,
+    args: &[String],
+) -> Result<(muri_workload::Trace, SimConfig, bool), CliError> {
+    let (popts, rest) = split_prune_opts(args)?;
     let (sopts, rest) = split_shard_opts(&rest)?;
     let (fopts, rest) = split_fault_opts(&rest)?;
     let (trace, _scale, machines) = parse_workload(&rest)?;
@@ -1395,6 +1390,16 @@ fn run_sim(policy: PolicyKind, args: &[String]) -> Result<(), CliError> {
     popts.apply(&mut cfg.scheduler);
     sopts.apply(&mut cfg.scheduler);
     fopts.apply(&mut cfg);
+    Ok((trace, cfg, fopts.any()))
+}
+
+/// `muri sim <policy> [--trace 1-4 | --csv FILE] [--scale S] [--machines N]
+///                    [--journal FILE] [--metrics FILE] [--chrome-trace FILE]
+///                    [--prune-top-m M] [--prune-loss-bound F]
+///                    [--shard-by auto|off|force] [--shard-size N] [--candidate-m M]`
+fn run_sim(policy: PolicyKind, args: &[String]) -> Result<(), CliError> {
+    let (topts, rest) = split_telemetry_opts(args)?;
+    let (trace, cfg, faults_on) = sim_setup(policy, &rest)?;
     eprintln!(
         "simulating {} jobs under {} on {} GPUs...",
         trace.len(),
@@ -1403,7 +1408,9 @@ fn run_sim(policy: PolicyKind, args: &[String]) -> Result<(), CliError> {
     );
     let started = std::time::Instant::now();
     let r = if topts.any() {
-        let sink = TelemetrySink::enabled(Telemetry::new());
+        // Unbounded: the whole journal is written out, so a capacity
+        // bound would only truncate the file.
+        let sink = TelemetrySink::enabled(Telemetry::with_journal_capacity(usize::MAX));
         let r = simulate_with_telemetry(&trace, &cfg, &sink);
         let t = sink
             .into_inner()
@@ -1430,7 +1437,7 @@ fn run_sim(policy: PolicyKind, args: &[String]) -> Result<(), CliError> {
     );
     // Only when fault injection is on — a fault-free invocation's stdout
     // must stay byte-identical to the pre-fault-domain CLI.
-    if fopts.any() {
+    if faults_on {
         let faults: u64 = r.records.iter().map(|j| u64::from(j.faults)).sum();
         let restarts: u64 = r.records.iter().map(|j| u64::from(j.restarts)).sum();
         println!("faults:        {faults} ({restarts} restarts)");
@@ -1515,17 +1522,7 @@ fn run_verify(args: &[String]) -> Result<(), CliError> {
         Some(first) if !first.starts_with("--") => (parse_policy(first)?, &args[1..]),
         _ => (PolicyKind::MuriL, args),
     };
-    let (popts, rest) = split_prune_opts(rest)?;
-    let (sopts, rest) = split_shard_opts(&rest)?;
-    let (fopts, rest) = split_fault_opts(&rest)?;
-    let (trace, _scale, machines) = parse_workload(&rest)?;
-    let mut cfg = SimConfig {
-        cluster: muri_cluster::ClusterSpec::with_machines(machines),
-        ..SimConfig::testbed(SchedulerConfig::preset(policy))
-    };
-    popts.apply(&mut cfg.scheduler);
-    sopts.apply(&mut cfg.scheduler);
-    fopts.apply(&mut cfg);
+    let (trace, cfg, _) = sim_setup(policy, rest)?;
     eprintln!(
         "auditing {} under {} on {} GPUs ({} jobs)...",
         trace.name,

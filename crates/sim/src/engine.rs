@@ -337,10 +337,39 @@ pub struct EngineCore {
     prev_slo: Vec<muri_verify::SloKeyRecord>,
 }
 
+/// How [`EngineCore::stop_group`] treats the members it stops.
+#[derive(Debug, Clone, Copy)]
+enum Stop {
+    /// Every member requeues with its progress persisted.
+    Graceful,
+    /// Machine `m` failed under `kind`: every member faults.
+    Machine(FaultKind, u32),
+    /// This member crashed and faults; the rest stop gracefully.
+    Crash(JobId),
+}
+
 /// Exponential gap with the given mean: `-mean · ln(u)`, `u ∈ [ε, 1)`.
 fn exp_gap(rng: &mut SmallRng, mean: SimDuration) -> SimDuration {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     SimDuration::from_secs_f64(-mean.as_secs_f64() * u.ln())
+}
+
+/// Seeded draw of `count` distinct machines out of `machines` (`true` =
+/// drawn). Each caller passes a stream of its own, so machine
+/// membership never perturbs fault times or other draws.
+fn draw_machines(stream: u64, count: u32, machines: usize) -> Vec<bool> {
+    let mut drawn = vec![false; machines];
+    let mut rng = SmallRng::seed_from_u64(stream);
+    let want = (count as usize).min(machines);
+    let mut chosen = 0usize;
+    while chosen < want {
+        let m = rng.gen_range(0..machines);
+        if !drawn[m] {
+            drawn[m] = true;
+            chosen += 1;
+        }
+    }
+    drawn
 }
 
 /// Largest power of two ≤ `n` (0 for 0) — elastic resizes stay on
@@ -385,36 +414,12 @@ impl EventHandler for EngineCore {
 impl EngineCore {
     fn empty(cfg: &SimConfig, trace_name: String, arrivals_left: usize) -> Self {
         let machines = cfg.cluster.machines as usize;
-        let mut degraded = vec![false; machines];
-        if cfg.faults.degraded_machines > 0 {
-            // Seeded draw of distinct degraded machines, on a stream of
-            // its own so it doesn't perturb fault times.
-            let mut rng = SmallRng::seed_from_u64(cfg.faults.seed ^ 0xDE6A);
-            let want = (cfg.faults.degraded_machines as usize).min(machines);
-            let mut chosen = 0usize;
-            while chosen < want {
-                let m = rng.gen_range(0..machines);
-                if !degraded[m] {
-                    degraded[m] = true;
-                    chosen += 1;
-                }
-            }
-        }
-        let mut spot = vec![false; machines];
-        if cfg.faults.spot_machines > 0 {
-            // Same distinct-draw scheme as degradation, on yet another
-            // stream — spot membership never perturbs other schedules.
-            let mut rng = SmallRng::seed_from_u64(cfg.faults.seed ^ 0x5907);
-            let want = (cfg.faults.spot_machines as usize).min(machines);
-            let mut chosen = 0usize;
-            while chosen < want {
-                let m = rng.gen_range(0..machines);
-                if !spot[m] {
-                    spot[m] = true;
-                    chosen += 1;
-                }
-            }
-        }
+        let degraded = draw_machines(
+            cfg.faults.seed ^ 0xDE6A,
+            cfg.faults.degraded_machines,
+            machines,
+        );
+        let spot = draw_machines(cfg.faults.seed ^ 0x5907, cfg.faults.spot_machines, machines);
         let mut cluster = Cluster::new(cfg.cluster);
         if cfg.faults.hetero_active() {
             cluster.set_generations(
@@ -594,19 +599,11 @@ impl EngineCore {
             self.monitor.forget_job(id);
             return true;
         }
-        if let Some(gid) = self
-            .groups
-            .iter()
-            .position(|g| g.as_ref().is_some_and(|g| g.members.contains(&id)))
-        {
+        if let Some(gid) = self.group_of(id) {
             // Settle progress first: the job may complete exactly at
             // the cancellation boundary, in which case the completion
             // stands and there is nothing left to cancel.
-            self.advance_and_reap(gid, q);
-            let still_running = self.groups[gid]
-                .as_ref()
-                .is_some_and(|g| g.members.contains(&id));
-            if !still_running {
+            if !self.settle_member(gid, id, q) {
                 if self.dirty {
                     self.fill_pass(q);
                 }
@@ -619,9 +616,7 @@ impl EngineCore {
             self.cancelled.insert(id);
             self.monitor.forget_job(id);
             self.reform_group(gid, survivors, q);
-            self.dirty = true;
-            self.inc.mark_all();
-            self.fill_pass(q);
+            self.replan(q);
             return true;
         }
         // Submitted but not yet arrived: swallow the pending arrival.
@@ -639,23 +634,7 @@ impl EngineCore {
     pub fn checkpoint_all(&mut self) {
         for gid in 0..self.groups.len() {
             self.advance_only(gid);
-            let Some(group) = self.groups[gid].as_ref() else {
-                continue;
-            };
-            let members = group.members.clone();
-            let now = self.now;
-            for job in members {
-                let Some(j) = self.jobs.get_mut(&job) else {
-                    continue;
-                };
-                j.saved_iters = j.done_iters;
-                let iters_saved = j.saved_iters;
-                self.sink.emit(|| Event::CheckpointTaken {
-                    time: now,
-                    job,
-                    iters_saved,
-                });
-            }
+            self.checkpoint_group(gid, false);
         }
     }
 
@@ -697,12 +676,7 @@ impl EngineCore {
                 JobPhase::Finished
             } else if j.spec.num_gpus > self.cluster.spec().total_gpus() {
                 JobPhase::Rejected
-            } else if self
-                .groups
-                .iter()
-                .flatten()
-                .any(|g| g.members.contains(&id))
-            {
+            } else if self.group_of(id).is_some() {
                 JobPhase::Running
             } else {
                 JobPhase::Queued
@@ -776,28 +750,17 @@ impl EngineCore {
             job: spec.id,
             num_gpus: spec.num_gpus,
         });
-        if spec.num_gpus > self.cluster.spec().total_gpus() {
-            // Can never be placed; record as rejected (never finishes).
-            self.jobs.insert(
-                spec.id,
-                JobState {
-                    spec,
-                    measured: StageProfile::default(),
-                    truth: spec.true_profile(),
-                    done_iters: 0,
-                    saved_iters: 0,
-                    attained: SimDuration::ZERO,
-                    first_start: None,
-                    finish: None,
-                    restarts: 0,
-                    faults: 0,
-                    deadline: None,
-                    resize_epoch: 0,
-                },
-            );
-            return;
-        }
-        let measured = self.profiler.measure(&spec);
+        // A job demanding more GPUs than the cluster has can never be
+        // placed: it is recorded as rejected (never finishes), unprofiled.
+        let rejected = spec.num_gpus > self.cluster.spec().total_gpus();
+        let (measured, deadline) = if rejected {
+            (StageProfile::default(), None)
+        } else {
+            (
+                self.profiler.measure(&spec),
+                self.cfg.faults.deadline_for(&spec),
+            )
+        };
         self.jobs.insert(
             spec.id,
             JobState {
@@ -811,10 +774,13 @@ impl EngineCore {
                 finish: None,
                 restarts: 0,
                 faults: 0,
-                deadline: self.cfg.faults.deadline_for(&spec),
+                deadline,
                 resize_epoch: 0,
             },
         );
+        if rejected {
+            return;
+        }
         self.queue.push(spec.id);
         self.dirty = true;
         self.inc.mark(spec.num_gpus);
@@ -856,14 +822,10 @@ impl EngineCore {
         if !self.group_version_matches(gid, version) {
             return;
         }
-        self.advance_and_reap(gid, q);
         // The job may have completed exactly at the fault boundary (in
-        // which case the reap above re-formed or released the group and
+        // which case the reap re-formed or released the group and
         // bumped the version).
-        let still_running = self.groups[gid]
-            .as_ref()
-            .is_some_and(|g| g.members.contains(&job));
-        if !still_running {
+        if !self.settle_member(gid, job, q) {
             if self.dirty {
                 self.fill_pass(q);
             }
@@ -874,37 +836,20 @@ impl EngineCore {
         // going around the hole, so they are gracefully stopped —
         // progress and attained service intact — and requeued for the
         // next pass to regroup.
-        let Some(group) = self.groups[gid].take() else {
-            return;
-        };
-        self.cluster.release(&group.gpus);
-        let now = self.now;
-        for m in group.members {
-            if m == job {
-                self.fault_job(m, FaultKind::Injected, None);
-            } else {
-                // advance_and_reap left only unfinished members behind.
-                if let Some(j) = self.jobs.get_mut(&m) {
-                    j.saved_iters = j.done_iters;
-                }
-                self.queue.push(m);
-                self.sink.emit(|| Event::JobPreempted { time: now, job: m });
-            }
-        }
-        self.dirty = true;
-        self.inc.mark_all();
-        self.fill_pass(q);
+        self.stop_group(gid, Stop::Crash(job));
+        self.replan(q);
     }
 
     /// Terminate a running job under a fault, route the report through
-    /// the worker monitor (§5), and requeue the job.
+    /// the worker monitor (§5), and requeue the job. Returns the work
+    /// the rollback wasted.
     ///
     /// Machine-level faults destroy device state: progress rolls back to
     /// the last durable point (checkpoint or graceful stop) and the lost
     /// work is accounted. Per-job injected faults model a process crash
     /// whose state survives on the still-healthy machine, so the job
     /// resumes where it stopped and pays only the flat restart penalty.
-    fn fault_job(&mut self, job: JobId, kind: FaultKind, machine: Option<u32>) {
+    fn fault_job(&mut self, job: JobId, kind: FaultKind, machine: Option<u32>) -> SimDuration {
         let now = self.now;
         let mut lost = 0u64;
         let mut wasted = SimDuration::ZERO;
@@ -936,6 +881,7 @@ impl EngineCore {
             machine,
         });
         self.queue.push(job);
+        wasted
     }
 
     fn on_checkpoint(&mut self, gid: usize, version: u64, q: &mut dyn EventQueue) {
@@ -945,48 +891,10 @@ impl EngineCore {
         self.advance_and_reap(gid, q);
         // A reap that changed membership bumped the version and started
         // a fresh checkpoint chain — this stale chain ends here.
-        if !self.group_version_matches(gid, version) {
-            if self.dirty {
-                self.fill_pass(q);
-            }
-            return;
+        if self.group_version_matches(gid, version) {
+            self.checkpoint_group(gid, true);
+            self.schedule_checkpoint(gid, q);
         }
-        let Some(interval) = self.cfg.checkpoint.interval else {
-            return;
-        };
-        let cost = self.cfg.checkpoint.cost;
-        let now = self.now;
-        let members = match self.groups[gid].as_mut() {
-            Some(group) => {
-                // The whole group pauses while its members persist
-                // state: iteration progress is pushed out by the cost
-                // (attained service keeps accruing — the GPUs stay
-                // held), which is the checkpoint overhead the lost-work
-                // trade-off pays for.
-                group.anchor += cost;
-                group.members.clone()
-            }
-            None => return,
-        };
-        for job in members {
-            let Some(j) = self.jobs.get_mut(&job) else {
-                continue;
-            };
-            j.saved_iters = j.done_iters;
-            let iters_saved = j.saved_iters;
-            self.sink.emit(|| Event::CheckpointTaken {
-                time: now,
-                job,
-                iters_saved,
-            });
-        }
-        q.schedule(
-            self.now + interval,
-            SchedulerEvent::CheckpointDue {
-                gid: gid as u32,
-                version,
-            },
-        );
         if self.dirty {
             self.fill_pass(q);
         }
@@ -1009,40 +917,7 @@ impl EngineCore {
         };
         // Cascade: every group with a GPU on machine `m` loses all its
         // members — the interleave cycle cannot survive a hole.
-        let mut jobs_hit = 0u32;
-        for gid in 0..self.groups.len() {
-            let hit = self.groups[gid].as_ref().is_some_and(|g| {
-                g.gpus
-                    .gpus
-                    .iter()
-                    .any(|&gpu| self.cluster.spec().machine_of(gpu) == m)
-            });
-            if !hit {
-                continue;
-            }
-            // Settle attained service and whole iterations up to the
-            // crash instant before rolling anyone back.
-            self.advance_only(gid);
-            let Some(group) = self.groups[gid].take() else {
-                continue;
-            };
-            self.cluster.release(&group.gpus);
-            let now = self.now;
-            for job in group.members {
-                if self.jobs[&job].remaining_iters() == 0 {
-                    // Finished exactly at the fault instant — the
-                    // completion stands.
-                    if let Some(j) = self.jobs.get_mut(&job) {
-                        j.finish = Some(now);
-                    }
-                    self.sink.emit(|| Event::JobCompleted { time: now, job });
-                    self.monitor.forget_job(job);
-                } else {
-                    self.fault_job(job, kind, Some(m));
-                    jobs_hit += 1;
-                }
-            }
-        }
+        let (jobs_hit, _) = self.cascade_machine(m, kind);
         let now = self.now;
         self.sink.emit(|| Event::MachineFailed {
             time: now,
@@ -1061,9 +936,7 @@ impl EngineCore {
             q.schedule(self.now + repair, SchedulerEvent::MachineRecovered(m));
         }
         self.sync_banned();
-        self.dirty = true;
-        self.inc.mark_all();
-        self.fill_pass(q);
+        self.replan(q);
     }
 
     fn on_machine_recover(&mut self, m: u32, q: &mut dyn EventQueue) {
@@ -1081,9 +954,7 @@ impl EngineCore {
         }
         let gap = exp_gap(&mut self.machine_rng, mtbf);
         q.schedule(self.now + gap, SchedulerEvent::MachineFailed(m));
-        self.dirty = true;
-        self.inc.mark_all();
-        self.fill_pass(q);
+        self.replan(q);
     }
 
     // ------------------------------------------------- hostile scenarios
@@ -1099,44 +970,16 @@ impl EngineCore {
         }
         self.spot_warned[m as usize] = Some(self.now);
         self.spot_drained[m as usize] = 0;
-        let cost = self.cfg.checkpoint.cost;
-        if cost > self.cfg.faults.spot_warning {
+        if self.cfg.checkpoint.cost > self.cfg.faults.spot_warning {
             return;
         }
         let mut drained = 0u64;
         for gid in 0..self.groups.len() {
-            let hosted = self.groups[gid].as_ref().is_some_and(|g| {
-                g.gpus
-                    .gpus
-                    .iter()
-                    .any(|&gpu| self.cluster.spec().machine_of(gpu) == m)
-            });
-            if !hosted {
-                continue;
-            }
-            // Settle progress, then persist it — the group pauses for
-            // the checkpoint cost, exactly like a periodic checkpoint.
-            self.advance_and_reap(gid, q);
-            let members = match self.groups[gid].as_mut() {
-                Some(group) => {
-                    group.anchor += cost;
-                    group.members.clone()
-                }
-                None => continue,
-            };
-            let now = self.now;
-            for job in members {
-                let Some(j) = self.jobs.get_mut(&job) else {
-                    continue;
-                };
-                j.saved_iters = j.done_iters;
-                let iters_saved = j.saved_iters;
-                self.sink.emit(|| Event::CheckpointTaken {
-                    time: now,
-                    job,
-                    iters_saved,
-                });
-                drained += 1;
+            if self.group_on_machine(gid, m) {
+                // Settle progress, then persist it — the group pauses for
+                // the checkpoint cost, exactly like a periodic checkpoint.
+                self.advance_and_reap(gid, q);
+                drained += self.checkpoint_group(gid, true);
             }
         }
         self.spot_drained[m as usize] = drained;
@@ -1160,39 +1003,7 @@ impl EngineCore {
             return;
         }
         let drained = std::mem::take(&mut self.spot_drained[m as usize]);
-        let mut wasted = SimDuration::ZERO;
-        for gid in 0..self.groups.len() {
-            let hit = self.groups[gid].as_ref().is_some_and(|g| {
-                g.gpus
-                    .gpus
-                    .iter()
-                    .any(|&gpu| self.cluster.spec().machine_of(gpu) == m)
-            });
-            if !hit {
-                continue;
-            }
-            self.advance_only(gid);
-            let Some(group) = self.groups[gid].take() else {
-                continue;
-            };
-            self.cluster.release(&group.gpus);
-            let now = self.now;
-            for job in group.members {
-                if self.jobs[&job].remaining_iters() == 0 {
-                    // Finished exactly at the eviction instant — the
-                    // completion stands.
-                    if let Some(j) = self.jobs.get_mut(&job) {
-                        j.finish = Some(now);
-                    }
-                    self.sink.emit(|| Event::JobCompleted { time: now, job });
-                    self.monitor.forget_job(job);
-                } else {
-                    let j = &self.jobs[&job];
-                    wasted += j.truth.iteration_time() * j.done_iters.saturating_sub(j.saved_iters);
-                    self.fault_job(job, FaultKind::MachineFailStop, Some(m));
-                }
-            }
-        }
+        let (_, wasted) = self.cascade_machine(m, FaultKind::MachineFailStop);
         let now = self.now;
         self.sink.emit(|| Event::SpotEvicted {
             time: now,
@@ -1219,9 +1030,7 @@ impl EngineCore {
             self.now + self.cfg.faults.spot_downtime,
             SchedulerEvent::SpotRestored(m),
         );
-        self.dirty = true;
-        self.inc.mark_all();
-        self.fill_pass(q);
+        self.replan(q);
     }
 
     /// Evicted spot machine `m` returns: capacity rejoins the placement
@@ -1235,9 +1044,7 @@ impl EngineCore {
             return;
         }
         self.arm_spot_cycle(m, q);
-        self.dirty = true;
-        self.inc.mark_all();
-        self.fill_pass(q);
+        self.replan(q);
     }
 
     /// Arm the next resize event of elastic job `job` at `epoch`.
@@ -1300,19 +1107,11 @@ impl EngineCore {
         // requeue themselves must not move attained service.
         #[cfg(feature = "audit")]
         let mut before: Option<(u64, u64)> = None;
-        if let Some(gid) = self
-            .groups
-            .iter()
-            .position(|g| g.as_ref().is_some_and(|g| g.members.contains(&job)))
-        {
+        if let Some(gid) = self.group_of(job) {
             // Settle progress first; the job may complete exactly at the
             // resize boundary, in which case the completion stands and
             // the chain ends.
-            self.advance_and_reap(gid, q);
-            let still_running = self.groups[gid]
-                .as_ref()
-                .is_some_and(|g| g.members.contains(&job));
-            if !still_running {
+            if !self.settle_member(gid, job, q) {
                 if self.jobs[&job].remaining_iters() > 0 {
                     self.finish_resize(job, epoch, from, to, q);
                 } else if self.dirty {
@@ -1328,21 +1127,7 @@ impl EngineCore {
             // Graceful stop of the whole group: the survivors cannot
             // keep the interleave cycle going around the re-bucketed
             // member, so everyone requeues with progress intact.
-            let Some(group) = self.groups[gid].take() else {
-                return;
-            };
-            self.cluster.release(&group.gpus);
-            let now = self.now;
-            for member in group.members {
-                if let Some(j) = self.jobs.get_mut(&member) {
-                    j.saved_iters = j.done_iters;
-                }
-                self.queue.push(member);
-                self.sink.emit(|| Event::JobPreempted {
-                    time: now,
-                    job: member,
-                });
-            }
+            self.stop_group(gid, Stop::Graceful);
         }
         #[cfg(feature = "audit")]
         {
@@ -1394,9 +1179,7 @@ impl EngineCore {
         self.next_tick = None;
         // Settle every group's progress before planning.
         for gid in 0..self.groups.len() {
-            if self.groups[gid].is_some() {
-                self.advance_and_reap(gid, q);
-            }
+            self.advance_and_reap(gid, q);
         }
         // Blacklist expiry is purely time-based (no event fires), so the
         // tick refreshes the placement mask; a changed mask is freed (or
@@ -1440,10 +1223,43 @@ impl EngineCore {
             .is_some_and(|g| g.version == version)
     }
 
-    /// Account elapsed time to a group: attained service, whole iterations
-    /// completed, and member completion. Re-forms or releases the group as
-    /// members finish.
-    fn advance_and_reap(&mut self, gid: usize, q: &mut dyn EventQueue) {
+    /// The running group `job` belongs to, if any.
+    fn group_of(&self, job: JobId) -> Option<usize> {
+        self.groups
+            .iter()
+            .position(|g| g.as_ref().is_some_and(|g| g.members.contains(&job)))
+    }
+
+    /// Whether group `gid` holds a GPU on machine `m`.
+    fn group_on_machine(&self, gid: usize, m: u32) -> bool {
+        self.groups[gid].as_ref().is_some_and(|g| {
+            g.gpus
+                .gpus
+                .iter()
+                .any(|&gpu| self.cluster.spec().machine_of(gpu) == m)
+        })
+    }
+
+    /// Settle group `gid` up to now (reaping members that finished) and
+    /// report whether `job` is still running in it.
+    fn settle_member(&mut self, gid: usize, job: JobId, q: &mut dyn EventQueue) -> bool {
+        self.advance_and_reap(gid, q);
+        self.groups[gid]
+            .as_ref()
+            .is_some_and(|g| g.members.contains(&job))
+    }
+
+    /// Capacity or membership changed in a way that touches every class:
+    /// mark everything dirty and backfill now.
+    fn replan(&mut self, q: &mut dyn EventQueue) {
+        self.dirty = true;
+        self.inc.mark_all();
+        self.fill_pass(q);
+    }
+
+    /// Account elapsed time to a group: attained service and whole
+    /// iterations completed. Idempotent within one instant.
+    fn advance_only(&mut self, gid: usize) {
         let Some(group) = self.groups[gid].as_mut() else {
             return;
         };
@@ -1472,7 +1288,16 @@ impl EngineCore {
                 }
             }
         }
-        // Reap finished members.
+    }
+
+    /// [`Self::advance_only`], then reap finished members: re-forms or
+    /// releases the group as members finish.
+    fn advance_and_reap(&mut self, gid: usize, q: &mut dyn EventQueue) {
+        self.advance_only(gid);
+        let Some(group) = self.groups[gid].as_ref() else {
+            return;
+        };
+        let now = self.now;
         let members = group.members.clone();
         let finished: Vec<JobId> = members
             .iter()
@@ -1504,6 +1329,101 @@ impl EngineCore {
             .collect();
         self.dirty = true;
         self.reform_group(gid, survivors, q);
+    }
+
+    /// Stop group `gid` now and free its GPUs (group-aware recovery,
+    /// §5). Progress is settled first; a member that finished at this
+    /// instant completes, and every other member is treated per `how`.
+    /// Returns the number of members faulted and the work their
+    /// rollback wasted.
+    fn stop_group(&mut self, gid: usize, how: Stop) -> (u32, SimDuration) {
+        self.advance_only(gid);
+        let mut faulted = 0u32;
+        let mut wasted = SimDuration::ZERO;
+        let Some(group) = self.groups[gid].take() else {
+            return (faulted, wasted);
+        };
+        self.cluster.release(&group.gpus);
+        let now = self.now;
+        for job in group.members {
+            if self.jobs[&job].remaining_iters() == 0 {
+                // Finished exactly at the stop instant — the completion
+                // stands.
+                if let Some(j) = self.jobs.get_mut(&job) {
+                    j.finish = Some(now);
+                }
+                self.sink.emit(|| Event::JobCompleted { time: now, job });
+                self.monitor.forget_job(job);
+                continue;
+            }
+            let fault = match how {
+                Stop::Machine(kind, m) => Some((kind, Some(m))),
+                Stop::Crash(crashed) if crashed == job => Some((FaultKind::Injected, None)),
+                Stop::Graceful | Stop::Crash(_) => None,
+            };
+            if let Some((kind, machine)) = fault {
+                wasted += self.fault_job(job, kind, machine);
+                faulted += 1;
+            } else {
+                // Graceful stop: progress persists (the restart penalty
+                // models the save/restore cost; partial iterations are
+                // lost).
+                if let Some(j) = self.jobs.get_mut(&job) {
+                    j.saved_iters = j.done_iters;
+                }
+                self.queue.push(job);
+                self.sink.emit(|| Event::JobPreempted { time: now, job });
+            }
+        }
+        (faulted, wasted)
+    }
+
+    /// Machine `m` lost its device state under `kind`: stop every group
+    /// it hosts, faulting the members. Returns the members faulted and
+    /// the work their rollback wasted.
+    fn cascade_machine(&mut self, m: u32, kind: FaultKind) -> (u32, SimDuration) {
+        let mut hit = 0u32;
+        let mut wasted = SimDuration::ZERO;
+        for gid in 0..self.groups.len() {
+            if self.group_on_machine(gid, m) {
+                let (h, w) = self.stop_group(gid, Stop::Machine(kind, m));
+                hit += h;
+                wasted += w;
+            }
+        }
+        (hit, wasted)
+    }
+
+    /// Persist every member's progress of group `gid` as a checkpoint.
+    /// With `pause`, the whole group first stalls for the checkpoint
+    /// cost: iteration progress is pushed out (attained service keeps
+    /// accruing — the GPUs stay held), which is the overhead the
+    /// lost-work trade-off pays for. Returns how many jobs it drained.
+    fn checkpoint_group(&mut self, gid: usize, pause: bool) -> u64 {
+        let cost = self.cfg.checkpoint.cost;
+        let Some(group) = self.groups[gid].as_mut() else {
+            return 0;
+        };
+        if pause {
+            group.anchor += cost;
+        }
+        let members = group.members.clone();
+        let now = self.now;
+        let mut drained = 0u64;
+        for job in members {
+            let Some(j) = self.jobs.get_mut(&job) else {
+                continue;
+            };
+            j.saved_iters = j.done_iters;
+            let iters_saved = j.saved_iters;
+            self.sink.emit(|| Event::CheckpointTaken {
+                time: now,
+                job,
+                iters_saved,
+            });
+            drained += 1;
+        }
+        drained
     }
 
     /// Distinct machines spanned by a group's lease, ascending.
@@ -1699,21 +1619,6 @@ impl EngineCore {
             self.now,
             &self.sink,
         );
-        if std::env::var_os("MURI_SIM_DEBUG").is_some() {
-            let planned_gpus: u32 = plan.iter().map(|p| p.num_gpus).sum();
-            let planned_jobs: usize = plan.iter().map(|p| p.group.len()).sum();
-            let demand: u32 = candidates.iter().map(|c| c.num_gpus).sum();
-            eprintln!(
-                "[plan @{}] candidates={} demand={} capacity={} -> groups={} jobs={} gpus={}",
-                self.now,
-                candidates.len(),
-                demand,
-                capacity,
-                plan.len(),
-                planned_jobs,
-                planned_gpus
-            );
-        }
 
         // Index planned groups by member set.
         let mut planned: Vec<(Vec<JobId>, PlannedGroup)> = plan
@@ -1736,7 +1641,7 @@ impl EngineCore {
                 if let Some(pos) = planned.iter().position(|(p_ids, _)| *p_ids == ids) {
                     planned.swap_remove(pos);
                 } else {
-                    self.teardown_group(gid);
+                    self.stop_group(gid, Stop::Graceful);
                 }
             }
         }
@@ -1829,84 +1734,33 @@ impl EngineCore {
             if group.members.len() >= cap {
                 continue;
             }
-            self.queue.retain(|id| *id != job);
-            let now = self.now;
-            if let Some(j) = self.jobs.get_mut(&job) {
-                let restart = j.first_start.is_some();
-                if restart {
-                    j.restarts += 1;
-                } else {
-                    j.first_start = Some(self.now);
-                }
-                self.sink.emit(|| Event::JobStarted {
-                    time: now,
-                    job,
-                    restart,
-                });
-            }
             let mut members = group.members.clone();
             members.push(job);
+            self.start_members(&[job]);
             self.reform_group(gid, members, q);
         }
     }
 
-    /// Terminate a running group: members go back to the queue with their
-    /// progress; GPUs are freed. (Partial iterations are lost — the cost
-    /// of preemption beyond the restart penalty.)
-    fn teardown_group(&mut self, gid: usize) {
-        self.advance_only(gid);
-        let Some(group) = self.groups[gid].take() else {
-            return;
-        };
-        self.cluster.release(&group.gpus);
+    /// Take `ids` off the queue and start them now: a job that ran
+    /// before counts a restart, a new one stamps its first start.
+    fn start_members(&mut self, ids: &[JobId]) {
+        self.queue.retain(|id| !ids.contains(id));
         let now = self.now;
-        for m in group.members {
-            if self.jobs[&m].remaining_iters() == 0 {
-                // Completed exactly at the tick boundary.
-                if let Some(j) = self.jobs.get_mut(&m) {
-                    j.finish = Some(self.now);
-                }
-                self.sink.emit(|| Event::JobCompleted { time: now, job: m });
-                self.monitor.forget_job(m);
+        for &job in ids {
+            let Some(j) = self.jobs.get_mut(&job) else {
+                continue;
+            };
+            let restart = j.first_start.is_some();
+            if restart {
+                j.restarts += 1;
             } else {
-                // Graceful stop: progress persists across the preemption
-                // (the restart penalty models the save/restore cost).
-                if let Some(j) = self.jobs.get_mut(&m) {
-                    j.saved_iters = j.done_iters;
-                }
-                self.queue.push(m);
-                self.sink.emit(|| Event::JobPreempted { time: now, job: m });
+                j.first_start = Some(now);
             }
-        }
-    }
-
-    /// Advance without reaping (used by teardown, which handles members
-    /// itself).
-    fn advance_only(&mut self, gid: usize) {
-        let Some(group) = self.groups[gid].as_mut() else {
-            return;
-        };
-        let now = self.now;
-        if now > group.last_touch {
-            let dt = now.since(group.last_touch);
-            group.last_touch = now;
-            for &m in &group.members {
-                if let Some(j) = self.jobs.get_mut(&m) {
-                    j.attained += dt;
-                }
-            }
-        }
-        if now > group.anchor && !group.iter_time.is_zero() {
-            let whole = now.since(group.anchor).as_micros() / group.iter_time.as_micros();
-            if whole > 0 {
-                group.anchor += group.iter_time * whole;
-                for &m in &group.members {
-                    let Some(j) = self.jobs.get_mut(&m) else {
-                        continue;
-                    };
-                    j.done_iters = (j.done_iters + whole).min(j.spec.iterations);
-                }
-            }
+            self.sink.emit(|| Event::JobStarted {
+                time: now,
+                job,
+                restart,
+            });
         }
     }
 
@@ -1917,26 +1771,9 @@ impl EngineCore {
             // capacity); leave the jobs queued.
             return;
         };
-        // Remove members from the queue.
-        self.queue.retain(|id| !ids.contains(id));
+        self.start_members(&ids);
         let penalty = self.cfg.scheduler.restart_penalty;
         let now = self.now;
-        for id in &ids {
-            let Some(j) = self.jobs.get_mut(id) else {
-                continue;
-            };
-            let restart = j.first_start.is_some();
-            if restart {
-                j.restarts += 1;
-            } else {
-                j.first_start = Some(self.now);
-            }
-            self.sink.emit(|| Event::JobStarted {
-                time: now,
-                job: *id,
-                restart,
-            });
-        }
         let iter_time = self.execution_iteration_time(&ids, &gpus.gpus);
         let gid = self
             .groups
@@ -2001,8 +1838,7 @@ impl EngineCore {
             return;
         };
         for &job in ids {
-            let u: f64 = self.fault_rng.gen_range(f64::EPSILON..1.0);
-            let dt = SimDuration::from_secs_f64(-mtbf.as_secs_f64() * u.ln());
+            let dt = exp_gap(&mut self.fault_rng, mtbf);
             let ev = SchedulerEvent::JobFault {
                 gid: gid as u32,
                 version,
@@ -2054,9 +1890,10 @@ impl EngineCore {
         }
     }
 
-    /// Snapshot the fault/recovery-relevant state for `audit_recovery`.
+    /// Snapshot the fault/recovery-relevant state for `audit_recovery`,
+    /// sharing the job sets of this instant's `tick` snapshot.
     #[cfg(feature = "audit")]
-    fn recovery_snapshot(&self) -> muri_verify::RecoverySnapshot {
+    fn recovery_snapshot(&self, tick: &muri_verify::TickSnapshot) -> muri_verify::RecoverySnapshot {
         let spec = self.cluster.spec();
         let total_gpus = spec.total_gpus();
         let down = (0..spec.machines)
@@ -2072,7 +1909,7 @@ impl EngineCore {
             .into_iter()
             .map(|(m, until)| (m, until.as_micros()))
             .collect();
-        let mut finished = Vec::new();
+        // `jobs` iterates in id order, so the ledgers come out sorted.
         let mut attained_us = Vec::new();
         let mut saved_iters = Vec::new();
         let mut done_iters = Vec::new();
@@ -2080,39 +1917,19 @@ impl EngineCore {
             if j.spec.num_gpus > total_gpus {
                 continue; // rejected at submission; never tracked
             }
-            if j.finish.is_some() {
-                finished.push(j.spec.id);
-            }
             attained_us.push((j.spec.id, j.attained.as_micros()));
             saved_iters.push((j.spec.id, j.saved_iters));
             done_iters.push((j.spec.id, j.done_iters));
         }
-        finished.sort_unstable();
-        attained_us.sort_unstable();
-        saved_iters.sort_unstable();
-        done_iters.sort_unstable();
         muri_verify::RecoverySnapshot {
             time: self.now,
             gpus_per_machine: spec.machine.gpus,
             down,
             blacklisted,
-            running: self
-                .groups
-                .iter()
-                .flatten()
-                .map(|g| muri_verify::GroupSnapshot {
-                    members: g.members.clone(),
-                    gpus: g.gpus.gpus.clone(),
-                })
-                .collect(),
-            queued: self.queue.clone(),
-            finished,
-            cancelled: self
-                .cancelled
-                .iter()
-                .filter(|id| self.jobs.contains_key(id))
-                .copied()
-                .collect(),
+            running: tick.running.clone(),
+            queued: tick.queued.clone(),
+            finished: tick.finished.clone(),
+            cancelled: tick.cancelled.clone(),
             attained_us,
             saved_iters,
             done_iters,
@@ -2133,7 +1950,7 @@ impl EngineCore {
         }
         let snap = self.tick_snapshot();
         let mut report = muri_verify::audit_tick(&snap);
-        let rec = self.recovery_snapshot();
+        let rec = self.recovery_snapshot(&snap);
         report.merge(muri_verify::audit_recovery(
             self.prev_recovery.as_ref(),
             &rec,

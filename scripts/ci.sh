@@ -27,9 +27,13 @@
 #      still conserves jobs
 #   8. hostile smoke     the hostile-cluster scenario suite: a seeded
 #      spot-eviction + heterogeneous-GPU simulation with the journal
-#      exported and validated by `muri telemetry-check`, then an
-#      audited `muri verify` replay with all four scenarios active
-#      (spot, hetero, elastic, SLO) — zero violations required
+#      exported and validated by `muri telemetry-check`, then audited
+#      `muri verify` replays under Muri-L and AntMan (whose join pass
+#      reforms running groups) with all four scenarios (spot, hetero,
+#      elastic, SLO) plus machine fail-stop and transient faults, job
+#      MTBF, a degraded machine and periodic checkpoints active, so
+#      every engine recovery path runs under the audit hooks — zero
+#      violations required
 #   9. pruning smoke     two checks on trace 2: at --scale 0.02 every
 #      bucket fits the small-graph shortcut (n <= top_m + 1), so default
 #      sparsification and --prune-top-m 0 must produce byte-identical
@@ -114,19 +118,23 @@ cargo run -q -p muri-cli -- simulate muri-l --trace 1 --scale 0.02 \
     --journal "$tmpdir/fault_journal.jsonl" >/dev/null
 cargo run -q -p muri-cli -- telemetry-check --journal "$tmpdir/fault_journal.jsonl"
 
-echo "==> hostile smoke (spot+hetero journal conserved, 4-scenario audited verify)"
+echo "==> hostile smoke (spot+hetero journal conserved, all-scenario audited verify)"
 cargo run -q -p muri-cli -- simulate muri-l --trace 1 --scale 0.02 \
     --spot-machines 1 --spot-mtbe 900 --spot-warning 60 --spot-downtime 300 \
     --gpu-generations 2 --generation-gap 0.5 \
     --checkpoint-cost 5 --fault-seed 7 \
     --journal "$tmpdir/hostile_journal.jsonl" >/dev/null
 cargo run -q -p muri-cli -- telemetry-check --journal "$tmpdir/hostile_journal.jsonl"
-cargo run -q -p muri-cli -- verify muri-l --trace 1 --scale 0.02 \
-    --spot-machines 1 --spot-mtbe 900 --spot-warning 60 --spot-downtime 300 \
-    --gpu-generations 2 --generation-gap 0.5 \
-    --elastic-fraction 0.25 --elastic-interval 900 \
-    --slo-fraction 0.3 --slo-slack 2 \
-    --checkpoint-cost 5 --fault-seed 7
+for policy in muri-l antman; do
+    cargo run -q -p muri-cli -- verify "$policy" --trace 1 --scale 0.02 \
+        --spot-machines 1 --spot-mtbe 900 --spot-warning 60 --spot-downtime 300 \
+        --gpu-generations 2 --generation-gap 0.5 \
+        --elastic-fraction 0.25 --elastic-interval 900 \
+        --slo-fraction 0.3 --slo-slack 2 \
+        --machine-mtbf 3600 --machine-mttr 600 --transient-fraction 0.5 \
+        --mtbf 7200 --degraded 1 --checkpoint-interval 600 \
+        --checkpoint-cost 5 --fault-seed 7
+done
 
 echo "==> pruning smoke (small-bucket identity at 0.02, pruned run at 0.1)"
 cargo run -q -p muri-cli -- simulate muri-l --trace 2 --scale 0.02 \
