@@ -120,7 +120,7 @@ const USAGE: &str = "usage:
   muri telemetry-check [--journal FILE] [--metrics FILE] [--chrome-trace FILE]
   muri lint [--json] [--root DIR]
   muri serve [--port P] [--machines N] [--policy NAME] [--workers N]
-             [--tenants \"a=8,b\"] [--incremental] [--time-scale F]
+             [--tenants \"a=8,b\"] [--time-scale F]
              [--journal FILE] [--state DIR] [--recover]
              [--max-open N] [--tenant-depth N] [--retry-after-ms MS]
              [--cmd-queue N] [--read-timeout-ms MS] [--snapshot-every N]
@@ -137,11 +137,12 @@ finding with `// muri-lint: allow(RULE, reason = \"...\")`). --json emits a
 machine-readable report; a finding exits 3.
 
 `muri serve` boots the always-on scheduler daemon (JSON over HTTP/1.1;
-endpoints /v1/jobs, /v1/cluster, /metrics, /v1/journal, /v1/shutdown).
---port 0 picks an ephemeral port (the bound address is printed on
-startup); --tenants enables closed-mode multi-tenancy with optional
-per-tenant GPU quotas (\"alice=8,bob\" caps alice at 8 GPUs and leaves
-bob unlimited); --incremental re-plans only dirty profile classes;
+endpoints POST /v1/jobs, GET /v1/jobs/ID, POST /v1/jobs/ID/cancel,
+POST /v1/config, GET /v1/cluster, GET /v1/healthz, GET /metrics,
+GET /v1/journal, POST /v1/shutdown). --port 0 picks an ephemeral port
+(the bound address is printed on startup); --tenants enables
+closed-mode multi-tenancy with optional per-tenant GPU quotas
+(\"alice=8,bob\" caps alice at 8 GPUs and leaves bob unlimited);
 --time-scale F runs F scheduler-seconds per wall-second; --journal
 flushes the telemetry journal to FILE on graceful shutdown. --state DIR
 makes the daemon durable: every submit/cancel/config is fsync'd to an
@@ -422,7 +423,7 @@ fn parse_tenants(spec: &str) -> Result<Vec<muri_serve::TenantConfig>, CliError> 
 }
 
 /// `muri serve [--port P] [--machines N] [--policy NAME] [--workers N]
-///             [--tenants "a=8,b"] [--incremental] [--time-scale F]
+///             [--tenants "a=8,b"] [--time-scale F]
 ///             [--journal FILE] [--state DIR] [--recover]
 ///             [--max-open N] [--tenant-depth N] [--retry-after-ms MS]
 ///             [--cmd-queue N] [--read-timeout-ms MS]
@@ -439,7 +440,6 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
     let mut policy = PolicyKind::MuriL;
     let mut workers = 4usize;
     let mut tenants = Vec::new();
-    let mut plan_mode = muri_core::PlanMode::Full;
     let mut time_scale = 1.0f64;
     let mut journal: Option<String> = None;
     let mut state_dir: Option<String> = None;
@@ -479,7 +479,6 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
             "--tenants" => {
                 tenants = parse_tenants(value("a tenant spec")?)?;
             }
-            "--incremental" => plan_mode = muri_core::PlanMode::Incremental,
             "--time-scale" => {
                 let f: f64 = value("a factor")?
                     .parse()
@@ -544,13 +543,12 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
     };
     if recover {
         let dir = PathBuf::from(state_dir.as_deref().unwrap_or_default());
-        audit_recovered_journal(&sim, &tenants, plan_mode, limits, &dir)?;
+        audit_recovered_journal(&sim, &tenants, limits, &dir)?;
     }
     let mut cfg = muri_serve::ServerConfig::new(sim);
     cfg.addr = format!("127.0.0.1:{port}");
     cfg.workers = workers;
     cfg.tenants = tenants;
-    cfg.plan_mode = plan_mode;
     cfg.time_scale = time_scale;
     cfg.journal_path = journal;
     cfg.limits = limits;
@@ -569,7 +567,6 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
 fn audit_recovered_journal(
     sim: &SimConfig,
     tenants: &[muri_serve::TenantConfig],
-    plan_mode: muri_core::PlanMode,
     limits: muri_serve::ServeLimits,
     dir: &Path,
 ) -> Result<(), CliError> {
@@ -581,7 +578,7 @@ fn audit_recovered_journal(
         cfg: sim,
         name: "serve-recovery-audit".to_string(),
         tenants: tenants.to_vec(),
-        plan_mode,
+        plan_mode: muri_core::PlanMode::Full,
         limits,
         live_time_scale: None,
         sink: muri_telemetry::TelemetrySink::disabled(),

@@ -13,10 +13,7 @@
 //! * [`gamma_cache`] / [`round_cache`] — the bounded thread-local
 //!   memoization layers behind grouping (γ values; round-1 graphs,
 //!   matchings, and final groups), with hit/miss counters and reset
-//!   hooks for tests;
-//! * [`incremental`] — arrival/completion-delta re-planning for the
-//!   always-on daemon: dirty GPU classes, a certified stranding
-//!   fallback, and a provable utility bound vs the full re-plan.
+//!   hooks for tests.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,7 +21,6 @@
 pub mod gamma_cache;
 pub mod gittins;
 pub mod grouping;
-pub mod incremental;
 pub mod policy;
 pub mod round_cache;
 pub mod scheduler;
@@ -35,9 +31,6 @@ pub use gittins::gittins_index;
 pub use grouping::{
     merged_efficiency, multi_round_grouping, GroupingConfig, GroupingMode, GroupingTimings,
 };
-pub use incremental::{
-    plan_incremental_with, IncrementalOutcome, IncrementalPlanner, IncrementalStats, PlanMode,
-};
 pub use policy::{PendingJob, PolicyKind, PriorityKey};
-pub use scheduler::{plan_schedule, plan_schedule_with, PlannedGroup, SchedulerConfig};
+pub use scheduler::{plan_schedule, plan_schedule_with, PlanMode, PlannedGroup, SchedulerConfig};
 pub use shard::{ShardBy, ShardCounters};

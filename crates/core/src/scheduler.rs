@@ -74,6 +74,18 @@ impl SchedulerConfig {
     }
 }
 
+/// How a scheduling pass derives its plan. Every pass re-plans the
+/// whole queue, so `Full` is the only mode; the type survives only
+/// because the benchmark harness still names it when it boots a daemon
+/// (`RecoverBoot::plan_mode`, `ServeCore::live`), where it is accepted
+/// and ignored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlanMode {
+    /// Re-plan the whole queue every pass.
+    #[default]
+    Full,
+}
+
 /// A planned group: which jobs run together and on how many GPUs.
 /// The engine allocates a concrete GPU set for each planned group in
 /// order.

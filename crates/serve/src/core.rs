@@ -104,7 +104,6 @@ pub struct ServeCore {
     clock: Option<WallClock>,
     tenants: TenantRegistry,
     limits: ServeLimits,
-    plan_mode: PlanMode,
     next_id: u32,
     open: BTreeMap<JobId, OpenJob>,
     sink: TelemetrySink,
@@ -120,12 +119,14 @@ pub struct ServeCore {
 }
 
 impl ServeCore {
-    /// A live core: wall-clock-gated events, telemetry on.
+    /// A live core: wall-clock-gated events, telemetry on. The
+    /// `PlanMode` slot is accepted and ignored (every pass re-plans in
+    /// full); it stays only because the benchmark harness passes it.
     #[must_use]
     pub fn live(
         cfg: &SimConfig,
         tenants: Vec<TenantConfig>,
-        plan_mode: PlanMode,
+        _plan_mode: PlanMode,
         time_scale: f64,
         limits: ServeLimits,
     ) -> Self {
@@ -135,7 +136,6 @@ impl ServeCore {
             cfg,
             "live",
             tenants,
-            plan_mode,
             q,
             Some(clock),
             TelemetrySink::enabled(Telemetry::new()),
@@ -151,32 +151,28 @@ impl ServeCore {
         cfg: &SimConfig,
         name: &str,
         tenants: Vec<TenantConfig>,
-        plan_mode: PlanMode,
         sink: TelemetrySink,
     ) -> Self {
         let q = Box::new(VirtualClockQueue::new());
-        ServeCore::new_inner(cfg, name, tenants, plan_mode, q, None, sink)
+        ServeCore::new_inner(cfg, name, tenants, q, None, sink)
     }
 
     fn new_inner(
         cfg: &SimConfig,
         name: &str,
         tenants: Vec<TenantConfig>,
-        plan_mode: PlanMode,
         mut q: Box<dyn EventQueue>,
         clock: Option<WallClock>,
         sink: TelemetrySink,
     ) -> Self {
         let mut engine = EngineCore::new_live(cfg, name, q.as_mut());
         engine.set_telemetry(sink.clone());
-        engine.set_plan_mode(plan_mode);
         ServeCore {
             engine,
             q,
             clock,
             tenants: TenantRegistry::new(tenants),
             limits: ServeLimits::default(),
-            plan_mode,
             next_id: 0,
             open: BTreeMap::new(),
             sink,
@@ -215,19 +211,12 @@ impl ServeCore {
                     boot.cfg,
                     &boot.name,
                     boot.tenants,
-                    boot.plan_mode,
                     q,
                     Some(clock),
                     boot.sink,
                 )
             }
-            None => ServeCore::deterministic(
-                boot.cfg,
-                &boot.name,
-                boot.tenants,
-                boot.plan_mode,
-                boot.sink,
-            ),
+            None => ServeCore::deterministic(boot.cfg, &boot.name, boot.tenants, boot.sink),
         };
         core.limits = boot.limits;
         core.replaying = true;
@@ -516,15 +505,9 @@ impl ServeCore {
                 let _ = self.engine.cancel(JobId(*job), self.q.as_mut());
                 self.reconcile();
             }
-            OpRecord::Config {
-                time,
-                tenants,
-                plan_mode,
-                ..
-            } => {
+            OpRecord::Config { time, tenants, .. } => {
                 self.pump_to(*time);
-                let plan = plan_mode.as_deref().and_then(|s| parse_plan_mode(s).ok());
-                self.apply_config_inner(tenants, plan);
+                self.tenants.apply_config(tenants);
             }
             OpRecord::Checkpoint { time, .. } => {
                 self.pump_to(*time);
@@ -683,34 +666,21 @@ impl ServeCore {
         ok
     }
 
-    /// Apply a rolling config change (journaled): tenant-quota upserts
-    /// and/or a planning-mode switch, without restart.
-    pub fn apply_config(&mut self, req: &ConfigRequest) -> Result<ConfigResponse, String> {
-        let plan = match req.plan_mode.as_deref() {
-            None => None,
-            Some(s) => Some(parse_plan_mode(s)?),
-        };
+    /// Apply a rolling config change (journaled): tenant-quota upserts,
+    /// without restart.
+    pub fn apply_config(&mut self, req: &ConfigRequest) -> ConfigResponse {
         let now = self.now();
         self.pump_to(now);
         self.record(OpRecord::Config {
             seq: self.seq,
             time: now,
             tenants: req.tenants.clone(),
-            plan_mode: req.plan_mode.clone(),
         });
         self.take_seq();
-        self.apply_config_inner(&req.tenants, plan);
-        Ok(ConfigResponse {
+        self.tenants.apply_config(&req.tenants);
+        ConfigResponse {
             applied: true,
             tenants_updated: req.tenants.len(),
-        })
-    }
-
-    fn apply_config_inner(&mut self, tenants: &[TenantConfig], plan: Option<PlanMode>) {
-        self.tenants.apply_config(tenants);
-        if let Some(p) = plan {
-            self.plan_mode = p;
-            self.engine.set_plan_mode(p);
         }
     }
 
@@ -728,7 +698,6 @@ impl ServeCore {
     #[must_use]
     pub fn metrics_text(&self) -> String {
         let state = self.engine.cluster_state();
-        let inc = self.engine.incremental_stats();
         let open = self.open.len();
         let oplog_ops = self.history.len();
         let tenants = self.tenants.snapshot();
@@ -751,18 +720,6 @@ impl ServeCore {
                     "Operation-log records since boot",
                     &[],
                     oplog_ops as f64,
-                );
-                m.set_gauge(
-                    "muri_serve_incremental_passes",
-                    "Incremental planner pass count",
-                    &[],
-                    inc.passes as f64,
-                );
-                m.set_gauge(
-                    "muri_serve_incremental_fallbacks",
-                    "Incremental planner full-replan fallbacks",
-                    &[],
-                    inc.fallbacks as f64,
                 );
                 for (name, outstanding, _) in &tenants {
                     m.set_gauge(
@@ -836,24 +793,13 @@ fn phase_str(phase: JobPhase) -> &'static str {
     }
 }
 
-/// Parse a planning mode from its wire name.
-pub fn parse_plan_mode(s: &str) -> Result<PlanMode, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "full" => Ok(PlanMode::Full),
-        "incremental" => Ok(PlanMode::Incremental),
-        other => Err(format!(
-            "unknown plan mode {other:?} (expected \"full\" or \"incremental\")"
-        )),
-    }
-}
-
 /// Replay `trace` through the daemon's deterministic test mode: every
 /// job passes the admission path ([`ServeCore::submit_spec`]) and the
 /// run is driven to completion on the virtual clock. With the same
 /// config, the report is byte-equivalent to `muri_sim::simulate` —
 /// the equivalence test pins exactly that.
 pub fn deterministic_run(trace: &Trace, cfg: &SimConfig, sink: &TelemetrySink) -> SimReport {
-    let mut core = ServeCore::deterministic(cfg, &trace.name, vec![], PlanMode::Full, sink.clone());
+    let mut core = ServeCore::deterministic(cfg, &trace.name, vec![], sink.clone());
     for spec in &trace.jobs {
         // Open-mode tenancy: admission always passes, so the engine sees
         // every trace job exactly as the batch simulator does.
@@ -886,8 +832,7 @@ mod tests {
     #[test]
     fn deterministic_submit_runs_to_completion() {
         let cfg = testbed();
-        let mut core =
-            ServeCore::deterministic(&cfg, "t", vec![], PlanMode::Full, TelemetrySink::disabled());
+        let mut core = ServeCore::deterministic(&cfg, "t", vec![], TelemetrySink::disabled());
         let resp = core.submit(&submit("ResNet18", 2, 50, None));
         assert!(resp.accepted, "{resp:?}");
         let id = resp.job.expect("job id");
@@ -909,13 +854,7 @@ mod tests {
             name: "alice".to_string(),
             quota_gpus: Some(4),
         }];
-        let mut core = ServeCore::deterministic(
-            &cfg,
-            "t",
-            tenants,
-            PlanMode::Full,
-            TelemetrySink::disabled(),
-        );
+        let mut core = ServeCore::deterministic(&cfg, "t", tenants, TelemetrySink::disabled());
         assert!(!core.submit(&submit("NoSuchModel", 2, 10, None)).accepted);
         assert!(!core.submit(&submit("ResNet18", 3, 10, None)).accepted);
         assert!(!core.submit(&submit("ResNet18", 128, 10, None)).accepted);
@@ -942,13 +881,7 @@ mod tests {
             name: "alice".to_string(),
             quota_gpus: Some(4),
         }];
-        let mut core = ServeCore::deterministic(
-            &cfg,
-            "t",
-            tenants,
-            PlanMode::Full,
-            TelemetrySink::disabled(),
-        );
+        let mut core = ServeCore::deterministic(&cfg, "t", tenants, TelemetrySink::disabled());
         let resp = core.submit(&submit("ResNet18", 4, 1_000_000, Some("alice")));
         let id = resp.job.expect("job id");
         assert!(
@@ -966,8 +899,7 @@ mod tests {
     #[test]
     fn tenant_depth_cap_refuses_retryable() {
         let cfg = testbed();
-        let mut core =
-            ServeCore::deterministic(&cfg, "t", vec![], PlanMode::Full, TelemetrySink::disabled());
+        let mut core = ServeCore::deterministic(&cfg, "t", vec![], TelemetrySink::disabled());
         core.set_limits(ServeLimits {
             max_open_jobs: 1024,
             tenant_depth: 2,
@@ -989,8 +921,7 @@ mod tests {
     #[test]
     fn overload_sheds_heaviest_queued_job_first() {
         let cfg = testbed();
-        let mut core =
-            ServeCore::deterministic(&cfg, "t", vec![], PlanMode::Full, TelemetrySink::disabled());
+        let mut core = ServeCore::deterministic(&cfg, "t", vec![], TelemetrySink::disabled());
         core.set_limits(ServeLimits {
             max_open_jobs: 2,
             tenant_depth: 1024,
@@ -1032,27 +963,18 @@ mod tests {
             name: "alice".to_string(),
             quota_gpus: Some(2),
         }];
-        let mut core = ServeCore::deterministic(
-            &cfg,
-            "t",
-            tenants,
-            PlanMode::Full,
-            TelemetrySink::disabled(),
-        );
+        let mut core = ServeCore::deterministic(&cfg, "t", tenants, TelemetrySink::disabled());
         assert!(
             !core
                 .submit(&submit("ResNet18", 4, 10, Some("alice")))
                 .accepted
         );
-        let resp = core
-            .apply_config(&ConfigRequest {
-                tenants: vec![TenantConfig {
-                    name: "alice".to_string(),
-                    quota_gpus: Some(8),
-                }],
-                plan_mode: Some("incremental".to_string()),
-            })
-            .expect("config applies");
+        let resp = core.apply_config(&ConfigRequest {
+            tenants: vec![TenantConfig {
+                name: "alice".to_string(),
+                quota_gpus: Some(8),
+            }],
+        });
         assert!(resp.applied);
         assert!(
             core.submit(&submit("ResNet18", 4, 10, Some("alice")))
@@ -1062,24 +984,13 @@ mod tests {
             .history()
             .iter()
             .any(|op| matches!(op, OpRecord::Config { .. })));
-        assert!(core
-            .apply_config(&ConfigRequest {
-                tenants: vec![],
-                plan_mode: Some("sideways".to_string()),
-            })
-            .is_err());
     }
 
     #[test]
     fn metrics_render_includes_daemon_gauges() {
         let cfg = testbed();
-        let mut core = ServeCore::deterministic(
-            &cfg,
-            "t",
-            vec![],
-            PlanMode::Full,
-            TelemetrySink::enabled(Telemetry::new()),
-        );
+        let mut core =
+            ServeCore::deterministic(&cfg, "t", vec![], TelemetrySink::enabled(Telemetry::new()));
         let _ = core.submit(&submit("ResNet18", 2, 50, None));
         core.run_to_completion();
         let text = core.metrics_text();

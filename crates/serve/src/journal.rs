@@ -46,7 +46,11 @@ use std::path::{Path, PathBuf};
 ///   a recovery replays their seeded schedules identically. Logs
 ///   written by version-1 builds are refused loudly rather than
 ///   replayed against a drifted fault model.
-pub const OPLOG_VERSION: u32 = 2;
+/// * 3 — config ops carry tenant quotas only; the planning-mode field
+///   is gone with the incremental planner. A version-2 log may record a
+///   switch to incremental planning that this build cannot replay, so
+///   it is refused rather than recovered to a different plan.
+pub const OPLOG_VERSION: u32 = 3;
 
 /// Compacted-history file inside the state directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.jsonl";
@@ -105,8 +109,6 @@ pub enum OpRecord {
         time: SimTime,
         /// Tenant-quota upserts.
         tenants: Vec<TenantConfig>,
-        /// Planning-mode change (`"full"` / `"incremental"`), if any.
-        plan_mode: Option<String>,
     },
     /// The graceful-shutdown checkpoint barrier.
     Checkpoint {
@@ -214,15 +216,9 @@ impl Serialize for OpRecord {
                 m.push(("job".into(), Value::UInt(u64::from(*job))));
                 m.push(("shed".into(), Value::Bool(*shed)));
             }
-            OpRecord::Config {
-                seq,
-                time,
-                tenants,
-                plan_mode,
-            } => {
+            OpRecord::Config { seq, time, tenants } => {
                 stamp(&mut m, *seq, *time);
                 m.push(("tenants".into(), tenants.to_value()));
-                m.push(("plan_mode".into(), plan_mode.to_value()));
             }
             OpRecord::Checkpoint { seq, time } => stamp(&mut m, *seq, *time),
             OpRecord::Complete {
@@ -287,7 +283,6 @@ impl Deserialize for OpRecord {
                     seq,
                     time,
                     tenants: field(v, "tenants")?,
-                    plan_mode: field(v, "plan_mode")?,
                 }
             }
             "checkpoint" => {
@@ -484,7 +479,6 @@ mod tests {
                     name: "alice".into(),
                     quota_gpus: Some(8),
                 }],
-                plan_mode: Some("incremental".into()),
             },
             OpRecord::Checkpoint {
                 seq: 4,

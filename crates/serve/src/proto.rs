@@ -2,7 +2,7 @@
 
 use muri_sim::{ClusterState, JobStatus};
 use muri_workload::ModelKind;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// `POST /v1/jobs` request body.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -65,16 +65,36 @@ pub struct ShutdownResponse {
     pub journal_events: usize,
 }
 
-/// `POST /v1/config` request body: a rolling configuration change,
+/// `POST /v1/config` request body: a rolling tenant-quota change,
 /// applied without restart and journaled so recovery replays it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ConfigRequest {
     /// Tenant-quota upserts (tenants not named keep their quota).
-    #[serde(default)]
     pub tenants: Vec<crate::tenant::TenantConfig>,
-    /// Planning-mode change: `"full"` or `"incremental"`.
-    #[serde(default)]
-    pub plan_mode: Option<String>,
+}
+
+/// Decoded by hand because the derived decoder ignores unknown keys: a
+/// misspelt or retired key must be refused, not journaled as an empty
+/// change that reports `applied: true`.
+impl Deserialize for ConfigRequest {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let Value::Map(entries) = v else {
+            return Err(Error::msg(format!(
+                "expected an object, found {}",
+                v.kind()
+            )));
+        };
+        if let Some((key, _)) = entries.iter().find(|(k, _)| k != "tenants") {
+            return Err(Error::msg(format!(
+                "unknown key `{key}` (the only key is `tenants`)"
+            )));
+        }
+        let tenants = match v.get("tenants") {
+            Some(t) => Deserialize::from_value(t)?,
+            None => Vec::new(),
+        };
+        Ok(ConfigRequest { tenants })
+    }
 }
 
 /// `POST /v1/config` response body.
@@ -125,5 +145,28 @@ mod tests {
         )
         .expect("parse");
         assert_eq!(r.tenant.as_deref(), Some("alice"));
+    }
+
+    #[test]
+    fn config_request_refuses_every_key_but_tenants() {
+        let r: ConfigRequest =
+            serde_json::from_str(r#"{"tenants":[{"name":"alice","quota_gpus":8}]}"#)
+                .expect("parse");
+        assert_eq!(r.tenants.len(), 1);
+        let r: ConfigRequest = serde_json::from_str("{}").expect("parse");
+        assert!(r.tenants.is_empty());
+        for (body, key) in [
+            (r#"{"policy":"muri-s"}"#, "`policy`"),
+            (r#"{"tenants":[],"tenant":[]}"#, "`tenant`"),
+        ] {
+            let err = serde_json::from_str::<ConfigRequest>(body)
+                .expect_err(body)
+                .to_string();
+            assert!(
+                err.contains("unknown key") && err.contains(key),
+                "{body}: {err}"
+            );
+        }
+        assert!(serde_json::from_str::<ConfigRequest>("[]").is_err());
     }
 }

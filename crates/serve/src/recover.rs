@@ -34,7 +34,8 @@ pub struct RecoverBoot<'a> {
     pub name: String,
     /// Boot-time tenant configs (journaled config ops re-apply on top).
     pub tenants: Vec<crate::tenant::TenantConfig>,
-    /// Boot-time planning mode (journaled config ops re-apply on top).
+    /// Accepted and ignored: every pass re-plans in full. The slot stays
+    /// only because the benchmark harness still fills it.
     pub plan_mode: PlanMode,
     /// Backpressure bounds for the recovered daemon.
     pub limits: ServeLimits,
@@ -282,9 +283,10 @@ mod tests {
             std::env::temp_dir().join(format!("muri-recover-version-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // A journal written by an older build: correct signature, stale
-        // format version. The new scenario events changed the wire
-        // format, so replaying it would resurrect a drifted fault
-        // model — recovery must refuse, loudly naming both versions.
+        // format version. A version-2 log may switch the daemon to the
+        // incremental planner this build no longer has, so replaying it
+        // could recover a different plan — recovery must refuse, loudly
+        // naming both versions.
         let stale = OpRecord::Header {
             version: OPLOG_VERSION - 1,
             sim: sim_signature(&cfg),

@@ -58,8 +58,6 @@ pub struct ServerConfig {
     pub sim: SimConfig,
     /// Tenant quotas (empty → open mode).
     pub tenants: Vec<TenantConfig>,
-    /// Backfill planning mode.
-    pub plan_mode: PlanMode,
     /// Scheduler seconds per wall second.
     pub time_scale: f64,
     /// Flush the telemetry journal here on shutdown.
@@ -90,7 +88,6 @@ impl ServerConfig {
             workers: 4,
             sim,
             tenants: Vec::new(),
-            plan_mode: PlanMode::Full,
             time_scale: 1.0,
             journal_path: None,
             limits: ServeLimits::default(),
@@ -108,7 +105,7 @@ enum Command {
     Submit(SubmitRequest, Sender<String>),
     Status(u32, Sender<Option<String>>),
     Cancel(u32, Sender<bool>),
-    Config(ConfigRequest, Sender<Result<String, String>>),
+    Config(ConfigRequest, Sender<String>),
     Cluster(Sender<String>),
     Metrics(Sender<String>),
     Journal(Sender<String>),
@@ -120,7 +117,6 @@ enum Command {
 enum Deferred {
     Str(Sender<String>, String),
     Bool(Sender<bool>, bool),
-    Res(Sender<Result<String, String>>, Result<String, String>),
 }
 
 impl Deferred {
@@ -128,7 +124,6 @@ impl Deferred {
         match self {
             Deferred::Str(tx, v) => drop(tx.send(v)),
             Deferred::Bool(tx, v) => drop(tx.send(v)),
-            Deferred::Res(tx, v) => drop(tx.send(v)),
         }
     }
 }
@@ -248,7 +243,7 @@ fn boot_core(cfg: &ServerConfig) -> Result<ServeCore, String> {
             cfg: &cfg.sim,
             name: "live".to_string(),
             tenants: cfg.tenants.clone(),
-            plan_mode: cfg.plan_mode,
+            plan_mode: PlanMode::Full,
             limits: cfg.limits,
             live_time_scale: Some(cfg.time_scale),
             sink: TelemetrySink::enabled(Telemetry::new()),
@@ -269,7 +264,7 @@ fn boot_core(cfg: &ServerConfig) -> Result<ServeCore, String> {
     let mut core = ServeCore::live(
         &cfg.sim,
         cfg.tenants.clone(),
-        cfg.plan_mode,
+        PlanMode::Full,
         cfg.time_scale,
         cfg.limits,
     );
@@ -370,10 +365,8 @@ fn handle_command(
             deferred.push(Deferred::Bool(reply, core.cancel(id)));
         }
         Command::Config(req, reply) => {
-            let result = core
-                .apply_config(&req)
-                .map(|resp| serde_json::to_string(&resp).unwrap_or_default());
-            deferred.push(Deferred::Res(reply, result));
+            let body = serde_json::to_string(&core.apply_config(&req)).unwrap_or_default();
+            deferred.push(Deferred::Str(reply, body));
         }
         Command::Cluster(reply) => {
             let _ = reply.send(serde_json::to_string(&core.cluster()).unwrap_or_default());
@@ -575,8 +568,7 @@ fn route(req: &Request, cmd_tx: &SyncSender<Command>, cfg: &ServerConfig) -> Rou
                         return r;
                     }
                     match rx.recv() {
-                        Ok(Ok(body)) => Routed::ok(body),
-                        Ok(Err(e)) => Routed::bad_request(&e),
+                        Ok(body) => Routed::ok(body),
                         Err(_) => unavailable(),
                     }
                 }

@@ -11,7 +11,10 @@
 
 use muri_core::{PlanMode, PolicyKind, SchedulerConfig};
 use muri_serve::journal::DEFAULT_SNAPSHOT_EVERY;
-use muri_serve::{recover_from_dir, OpRecord, RecoverBoot, ServeCore, ServeLimits, SubmitRequest};
+use muri_serve::{
+    recover_from_dir, ConfigRequest, OpRecord, RecoverBoot, ServeCore, ServeLimits, SubmitRequest,
+    TenantConfig,
+};
 use muri_sim::SimConfig;
 use muri_telemetry::TelemetrySink;
 use muri_workload::SimTime;
@@ -22,10 +25,21 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// One scripted daemon input, applied at an explicit scheduler time.
 #[derive(Debug, Clone)]
 enum Op {
-    Submit { gpus: u32, iters: u64 },
-    Cancel { job: u32 },
-    ConfigIncremental,
+    Submit {
+        gpus: u32,
+        iters: u64,
+    },
+    Cancel {
+        job: u32,
+    },
+    /// Cap the default tenant (whose demand every scripted submit
+    /// bills) at `DEFAULT_QUOTA` GPUs.
+    ConfigQuota,
 }
+
+/// The quota `Op::ConfigQuota` sets: loose enough that every scripted
+/// submit is still admitted.
+const DEFAULT_QUOTA: u32 = 16;
 
 fn submit_req(gpus: u32, iters: u64) -> SubmitRequest {
     SubmitRequest {
@@ -37,7 +51,7 @@ fn submit_req(gpus: u32, iters: u64) -> SubmitRequest {
 }
 
 fn fresh_core(cfg: &SimConfig, name: &str) -> ServeCore {
-    ServeCore::deterministic(cfg, name, vec![], PlanMode::Full, TelemetrySink::disabled())
+    ServeCore::deterministic(cfg, name, vec![], TelemetrySink::disabled())
 }
 
 fn apply_ops(core: &mut ServeCore, ops: &[(u64, Op)]) {
@@ -51,12 +65,13 @@ fn apply_ops(core: &mut ServeCore, ops: &[(u64, Op)]) {
             Op::Cancel { job } => {
                 core.cancel(*job);
             }
-            Op::ConfigIncremental => {
-                core.apply_config(&muri_serve::ConfigRequest {
-                    tenants: vec![],
-                    plan_mode: Some("incremental".to_string()),
-                })
-                .expect("scripted config");
+            Op::ConfigQuota => {
+                core.apply_config(&ConfigRequest {
+                    tenants: vec![TenantConfig {
+                        name: "default".to_string(),
+                        quota_gpus: Some(DEFAULT_QUOTA),
+                    }],
+                });
             }
         }
     }
@@ -89,7 +104,7 @@ fn killed_and_recovered_run_matches_uninterrupted_run_byte_for_byte() {
         (1, Op::Submit { gpus: 1, iters: 60 }),
         (2, Op::Submit { gpus: 4, iters: 30 }),
         (3, Op::Cancel { job: 1 }),
-        (4, Op::ConfigIncremental),
+        (4, Op::ConfigQuota),
         (5, Op::Submit { gpus: 2, iters: 20 }),
         (6, Op::Submit { gpus: 1, iters: 10 }),
     ];
@@ -142,10 +157,7 @@ fn recovery_replays_rolling_config_and_completions() {
         .expect("attach");
     apply_ops(
         &mut core,
-        &[
-            (0, Op::Submit { gpus: 1, iters: 5 }),
-            (1, Op::ConfigIncremental),
-        ],
+        &[(0, Op::Submit { gpus: 1, iters: 5 }), (1, Op::ConfigQuota)],
     );
     // Drive the first job to completion so a Complete cross-check is
     // journaled, then crash.
@@ -161,6 +173,14 @@ fn recovery_replays_rolling_config_and_completions() {
     assert_eq!(summary.configs, 1);
     assert_eq!(summary.completions, 1);
     assert_eq!(summary.submits, 1);
+    // The replayed config op re-applied the quota.
+    let quota = recovered
+        .cluster()
+        .tenants
+        .into_iter()
+        .find(|(name, _, _)| name == "default")
+        .and_then(|(_, _, quota)| quota);
+    assert_eq!(quota, Some(DEFAULT_QUOTA));
     // The replayed completion cross-check matches the engine's state.
     let view = recovered.status(0).expect("job 0 known after recovery");
     assert_eq!(view.status.iterations_done, view.status.iterations_total);

@@ -38,10 +38,7 @@ use crate::metrics::{JobRecord, SeriesSample, SimReport};
 use muri_cluster::{
     Cluster, FaultKind, FaultReport, GpuId, GpuSet, JobProgress, UtilizationSnapshot, WorkerMonitor,
 };
-use muri_core::{
-    plan_incremental_with, plan_schedule_with, IncrementalPlanner, IncrementalStats, PendingJob,
-    PlanMode, PlannedGroup,
-};
+use muri_core::{plan_schedule_with, PendingJob, PlannedGroup};
 use muri_engine::{EventHandler, EventQueue, SchedulerEvent, VirtualClockQueue};
 use muri_interleave::{choose_ordering, GroupMember, InterleaveGroup};
 use muri_telemetry::{Event, TelemetrySink};
@@ -306,11 +303,6 @@ pub struct EngineCore {
     /// golden report fixtures pin that shape); a cancelled job simply
     /// never finishes.
     cancelled: BTreeSet<JobId>,
-    /// How backfill passes plan: full re-plan (fixture-pinned default)
-    /// or dirty-class incremental with certified fallback.
-    plan_mode: PlanMode,
-    /// Dirty-class bookkeeping for [`PlanMode::Incremental`].
-    inc: IncrementalPlanner,
     /// Telemetry sink — disabled (a single `None` branch per site) unless
     /// installed via [`EngineCore::set_telemetry`].
     sink: TelemetrySink,
@@ -467,8 +459,6 @@ impl EngineCore {
             passes: 0,
             nevents: 0,
             cancelled: BTreeSet::new(),
-            plan_mode: PlanMode::Full,
-            inc: IncrementalPlanner::new(),
             sink: TelemetrySink::disabled(),
             monitor: WorkerMonitor::with_policy(cfg.faults.health),
             #[cfg(feature = "audit")]
@@ -645,17 +635,6 @@ impl EngineCore {
         self.monitor.set_sink(sink);
     }
 
-    /// Choose how backfill passes plan (the periodic tick always runs a
-    /// full pass).
-    pub fn set_plan_mode(&mut self, mode: PlanMode) {
-        self.plan_mode = mode;
-    }
-
-    /// Incremental-planning counters (all zero under [`PlanMode::Full`]).
-    pub fn incremental_stats(&self) -> IncrementalStats {
-        self.inc.stats()
-    }
-
     /// The core's current time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -783,7 +762,6 @@ impl EngineCore {
         }
         self.queue.push(spec.id);
         self.dirty = true;
-        self.inc.mark(spec.num_gpus);
         if self.cfg.faults.job_is_elastic(spec.id.0) {
             self.arm_resize(spec.id, 0, q);
         }
@@ -1169,8 +1147,6 @@ impl EngineCore {
             to_gpus: to,
         });
         self.dirty = true;
-        self.inc.mark(from);
-        self.inc.mark(to);
         self.arm_resize(job, epoch + 1, q);
         self.fill_pass(q);
     }
@@ -1249,11 +1225,10 @@ impl EngineCore {
             .is_some_and(|g| g.members.contains(&job))
     }
 
-    /// Capacity or membership changed in a way that touches every class:
-    /// mark everything dirty and backfill now.
+    /// Capacity or membership changed: mark the plan dirty and backfill
+    /// now.
     fn replan(&mut self, q: &mut dyn EventQueue) {
         self.dirty = true;
-        self.inc.mark_all();
         self.fill_pass(q);
     }
 
@@ -1314,7 +1289,6 @@ impl EngineCore {
             self.sink
                 .emit(|| Event::JobCompleted { time: now, job: *m });
             self.monitor.forget_job(*m);
-            self.inc.mark(self.jobs[m].spec.num_gpus);
         }
         if self.cfg.faults.health_active() {
             // Completions are healthy progress: clear the hosting
@@ -1655,8 +1629,6 @@ impl EngineCore {
         for (ids, p) in planned {
             self.start_group(ids, p.num_gpus, q);
         }
-        // A full pass saw every class — incremental marks are spent.
-        self.inc.clear();
         self.audit_pass();
     }
 
@@ -1674,22 +1646,8 @@ impl EngineCore {
             .collect();
         let free = self.cluster.free_gpus();
         if free > 0 {
-            let plan = match self.plan_mode {
-                PlanMode::Full => {
-                    plan_schedule_with(&self.cfg.scheduler, &candidates, free, self.now, &self.sink)
-                }
-                PlanMode::Incremental => {
-                    plan_incremental_with(
-                        &self.cfg.scheduler,
-                        &candidates,
-                        free,
-                        self.now,
-                        &self.sink,
-                        &mut self.inc,
-                    )
-                    .plan
-                }
-            };
+            let plan =
+                plan_schedule_with(&self.cfg.scheduler, &candidates, free, self.now, &self.sink);
             for p in plan {
                 let mut ids = p.group.job_ids();
                 ids.sort_unstable();

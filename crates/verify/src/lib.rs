@@ -24,10 +24,6 @@
 //! * **lifecycle conservation** — a recorded telemetry journal replays
 //!   to a consistent per-job ledger: one arrival first, starts consume
 //!   queue entries, nothing after completion ([`audit_journal`]);
-//! * **incremental planning** — a daemon-side incremental re-plan is
-//!   legal against the full candidate set, confined to the dirty GPU
-//!   classes, strands no capacity, and meets the certified loss bound
-//!   vs the full cold re-plan oracle ([`audit_incremental`]);
 //! * **fault recovery** — across scheduling passes no job is lost,
 //!   duplicated, or left assigned to a dead/blacklisted machine, and
 //!   attained service plus durable checkpointed progress stay monotone
@@ -56,7 +52,6 @@
 #![forbid(unsafe_code)]
 
 pub mod group;
-pub mod incremental;
 pub mod journal;
 pub mod matching;
 pub mod plan;
@@ -68,7 +63,6 @@ pub mod timeline;
 pub mod violation;
 
 pub use group::audit_group;
-pub use incremental::{audit_incremental, IncrementalSnapshot};
 pub use journal::audit_journal;
 pub use matching::{audit_matching, audit_pruning, audit_sharding};
 pub use plan::{audit_plan, PlanContext, PlannedGroupRef};

@@ -137,39 +137,6 @@ pub enum Violation {
         /// `"blacklisted"`).
         status: String,
     },
-    /// An incremental re-plan that did not fall back to a full re-plan
-    /// placed a job whose GPU class was not marked dirty — incremental
-    /// passes may only re-solve the profile classes invalidated by the
-    /// triggering arrival/completion.
-    IncrementalOutsideDirty {
-        /// The job planned outside the dirty set.
-        job: JobId,
-        /// Its GPU class (per-job demand).
-        num_gpus: u32,
-    },
-    /// An incremental re-plan left a candidate unplanned even though its
-    /// demand fits in the capacity the plan did not use — the planner's
-    /// contract is to fall back to a full re-plan instead of stranding
-    /// capacity behind a stale dirty set.
-    IncrementalStrandedCapacity {
-        /// The strandable candidate.
-        job: JobId,
-        /// Its GPU demand.
-        demanded: u32,
-        /// Capacity the incremental plan left unused.
-        remaining: u32,
-    },
-    /// An incremental re-plan's utility (Σ planned GPU demand) fell
-    /// below the certified bound against the full cold re-plan oracle:
-    /// `utility ≥ full_utility − min_unplanned_demand + 1`.
-    IncrementalLossBound {
-        /// Utility of the incremental plan.
-        utility: u32,
-        /// Utility of the full cold re-plan on the same inputs.
-        full_utility: u32,
-        /// The certified lower bound the incremental plan must meet.
-        bound: u32,
-    },
     /// A recovered daemon's replayed op log and post-replay state
     /// disagree: broken seq/time monotonicity, duplicated or orphaned
     /// job references, a submitted job lost by replay, or an id
@@ -252,9 +219,6 @@ impl Violation {
             Violation::ShardPairMismatch { .. } => "ShardPairMismatch",
             Violation::ShardLossExceeded { .. } => "ShardLossExceeded",
             Violation::DeadMachineAssignment { .. } => "DeadMachineAssignment",
-            Violation::IncrementalOutsideDirty { .. } => "IncrementalOutsideDirty",
-            Violation::IncrementalStrandedCapacity { .. } => "IncrementalStrandedCapacity",
-            Violation::IncrementalLossBound { .. } => "IncrementalLossBound",
             Violation::ReplayDivergence { .. } => "ReplayDivergence",
             Violation::ProgressRegressed { .. } => "ProgressRegressed",
             Violation::SpotDrainViolation { .. } => "SpotDrainViolation",
@@ -351,29 +315,6 @@ impl fmt::Display for Violation {
             } => write!(
                 f,
                 "DeadMachineAssignment: machine {machine} is {status} yet hosts {jobs:?}"
-            ),
-            Violation::IncrementalOutsideDirty { job, num_gpus } => write!(
-                f,
-                "IncrementalOutsideDirty: {job} ({num_gpus}-GPU class) was planned by an \
-                 incremental pass that had not marked its class dirty"
-            ),
-            Violation::IncrementalStrandedCapacity {
-                job,
-                demanded,
-                remaining,
-            } => write!(
-                f,
-                "IncrementalStrandedCapacity: {job} (demand {demanded}) was left queued \
-                 with {remaining} GPUs unused and no full-re-plan fallback"
-            ),
-            Violation::IncrementalLossBound {
-                utility,
-                full_utility,
-                bound,
-            } => write!(
-                f,
-                "IncrementalLossBound: incremental utility {utility} is below the \
-                 certified bound {bound} (full re-plan achieves {full_utility})"
             ),
             Violation::ReplayDivergence { seq, detail } => {
                 write!(f, "ReplayDivergence: op seq {seq} — {detail}")

@@ -49,10 +49,12 @@
 #      with zero violations (the sharded plan's stated pair weights and
 #      composed loss certificate both survive independent recomputation)
 #  11. serve smoke       the always-on daemon end to end: boot
-#      `muri serve` on an ephemeral port, drive it over HTTP with
-#      `muri serve-load` (submit, poll to completion, fetch the
-#      journal, shut down gracefully), validate the fetched journal
-#      with `muri telemetry-check`, and require daemon exit code 0
+#      `muri serve` on an ephemeral port with the README quickstart's
+#      policy and closed-mode tenants, drive it over HTTP with
+#      `muri serve-load` as a quota-bound tenant (submit, poll to
+#      completion, fetch the journal, shut down gracefully), validate
+#      the fetched journal with `muri telemetry-check`, and require
+#      daemon exit code 0
 #  12. serve crash smoke  durability end to end: boot a daemon with
 #      `--state DIR`, submit load without waiting, SIGKILL it, restart
 #      with `--recover` (the boot-time recovery-replay audit must
@@ -166,12 +168,15 @@ fi
 cargo run -q -p muri-cli -- verify muri-l --trace 2 --scale 0.1 --shard-by force
 
 echo "==> serve smoke (daemon boot, HTTP load, journal conserved, clean exit)"
-# Boot the daemon on an ephemeral port, drive it over HTTP with
-# serve-load (submit, poll to completion, fetch the journal, request
-# shutdown), validate the journal's lifecycle ledger, and require the
-# daemon process itself to exit 0.
+# Boot the daemon on an ephemeral port with the README quickstart's
+# policy and tenants (closed-mode admission), drive it over HTTP with
+# serve-load as tenant alice, whose 16-GPU quota admits all 6 x 2 GPUs
+# (submit, poll to completion, fetch the journal, request shutdown),
+# validate the journal's lifecycle ledger, and require the daemon
+# process itself to exit 0.
 cargo build -q -p muri-cli
 target/debug/muri serve --port 0 --time-scale 36000 --workers 2 \
+    --policy muri-l --tenants 'alice=16,bob' \
     --journal "$tmpdir/serve_daemon_journal.jsonl" \
     >"$tmpdir/serve.log" 2>&1 &
 serve_pid=$!
@@ -194,8 +199,13 @@ if [ -z "$serve_addr" ]; then
     exit 1
 fi
 cargo run -q -p muri-cli -- serve-load --addr "$serve_addr" \
-    --jobs 6 --gpus 2 --iters 20 \
-    --journal "$tmpdir/serve_journal.jsonl" --shutdown
+    --jobs 6 --gpus 2 --iters 20 --tenant alice \
+    --journal "$tmpdir/serve_journal.jsonl" --shutdown >"$tmpdir/serve_load.out"
+if ! grep -q '"accepted":6,"refused":0' "$tmpdir/serve_load.out"; then
+    echo "ci: closed-mode daemon did not admit all 6 of alice's jobs:" >&2
+    cat "$tmpdir/serve_load.out" >&2
+    exit 1
+fi
 cargo run -q -p muri-cli -- telemetry-check --journal "$tmpdir/serve_journal.jsonl"
 if ! wait "$serve_pid"; then
     echo "ci: serve daemon exited non-zero:" >&2
