@@ -7,9 +7,9 @@
 //! * [`topology`] — cluster specs and global GPU numbering;
 //! * [`placement`] — allocation tracking with the paper's node-minimizing
 //!   best-fit placement (§5);
-//! * [`monitor`] — the worker monitor: utilization snapshots, job
-//!   progress, fault reports, and per-machine health tracking with
-//!   blacklisting (§3, §5).
+//! * [`monitor`] — the worker monitor's per-machine health tracking:
+//!   fault streaks and straggler strikes that blacklist a machine for a
+//!   bounded time, which placement then avoids (§3, §5).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,9 +20,7 @@ pub mod placement;
 pub mod topology;
 
 pub use machine::MachineSpec;
-pub use monitor::{
-    FaultReport, HealthPolicy, JobProgress, MachineHealth, UtilizationSnapshot, WorkerMonitor,
-};
+pub use monitor::{HealthPolicy, WorkerMonitor};
 pub use muri_telemetry::{BlacklistReason, FaultKind};
 pub use placement::{Cluster, GpuSet};
 pub use topology::{ClusterSpec, GpuId};

@@ -1,61 +1,15 @@
-//! The worker monitor (§3): collects per-machine resource information,
-//! tracks the progress of each job, receives fault reports from
-//! executors, and — new with fault domains — tracks per-machine health
-//! so placement can steer replanned groups away from bad machines.
+//! The worker monitor (§3, §5), reduced to what placement reads:
+//! per-machine health. Consecutive machine faults and straggler strikes
+//! blacklist a machine for a bounded time, so replanned groups steer
+//! away from it. Job progress, utilization samples and fault reports
+//! are the engine's to keep and to forward to telemetry.
 
-use muri_telemetry::{BlacklistReason, Event, FaultKind, TelemetrySink};
-use muri_workload::{JobId, ResourceVec, SimDuration, SimTime};
+use muri_telemetry::{BlacklistReason, Event, TelemetrySink};
+use muri_workload::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-/// A point-in-time cluster utilization sample (average across leased
-/// GPUs; the Fig. 8 utilization curves come from these).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UtilizationSnapshot {
-    /// Sample time.
-    pub time: SimTime,
-    /// Average utilization per resource in `[0, 1]`.
-    pub util: ResourceVec<f64>,
-}
-
-/// Per-job progress as reported by executors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct JobProgress {
-    /// Iterations executed so far.
-    pub completed_iterations: u64,
-    /// Total iterations requested.
-    pub total_iterations: u64,
-    /// Average observed iteration time, if any iterations ran.
-    pub avg_iteration: Option<SimDuration>,
-}
-
-impl JobProgress {
-    /// Fraction of work done in `[0, 1]`.
-    pub fn fraction_done(&self) -> f64 {
-        if self.total_iterations == 0 {
-            1.0
-        } else {
-            (self.completed_iterations as f64 / self.total_iterations as f64).min(1.0)
-        }
-    }
-}
-
-/// A fault reported by an executor (§5: "when a fault occurs, the executor
-/// will report the error information to the worker monitor and terminate
-/// the training process").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultReport {
-    /// The faulted job.
-    pub job: JobId,
-    /// When the fault occurred.
-    pub time: SimTime,
-    /// What kind of failure the executor reported.
-    pub kind: FaultKind,
-    /// The machine at fault, when the failure was machine-level.
-    pub machine: Option<u32>,
-}
-
-/// Thresholds and bounds for the monitor's health tracking and memory.
+/// Thresholds of the monitor's health tracking.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HealthPolicy {
     /// Consecutive machine-level faults before a machine is blacklisted.
@@ -67,10 +21,6 @@ pub struct HealthPolicy {
     pub straggler_threshold: u32,
     /// How long a blacklist lasts before the machine is retried.
     pub blacklist_duration: SimDuration,
-    /// Retained utilization samples before the series is decimated.
-    pub max_utilization_samples: usize,
-    /// Retained fault reports (newer reports are counted but dropped).
-    pub max_fault_reports: usize,
 }
 
 impl Default for HealthPolicy {
@@ -80,22 +30,8 @@ impl Default for HealthPolicy {
             straggler_slowdown: 1.25,
             straggler_threshold: 3,
             blacklist_duration: SimDuration::from_secs(30 * 60),
-            max_utilization_samples: 4096,
-            max_fault_reports: 1024,
         }
     }
-}
-
-/// Where a machine sits in the monitor's health state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MachineHealth {
-    /// No strikes against the machine.
-    Healthy,
-    /// Some consecutive faults or straggler strikes, below threshold.
-    Suspect,
-    /// Blacklisted: placement must avoid the machine until the ban
-    /// expires.
-    Blacklisted,
 }
 
 /// Per-machine health counters.
@@ -109,14 +45,6 @@ struct MachineState {
 /// The worker monitor.
 #[derive(Debug, Clone)]
 pub struct WorkerMonitor {
-    snapshots: Vec<UtilizationSnapshot>,
-    /// Only every `snapshot_stride`-th sample is retained; doubles on
-    /// each decimation so memory stays bounded for week-long traces.
-    snapshot_stride: u64,
-    snapshot_seq: u64,
-    progress: HashMap<JobId, JobProgress>,
-    faults: Vec<FaultReport>,
-    faults_dropped: u64,
     machines: BTreeMap<u32, MachineState>,
     policy: HealthPolicy,
     sink: TelemetrySink,
@@ -137,28 +65,14 @@ impl WorkerMonitor {
     /// A monitor with an explicit health policy.
     pub fn with_policy(policy: HealthPolicy) -> Self {
         WorkerMonitor {
-            snapshots: Vec::new(),
-            snapshot_stride: 1,
-            snapshot_seq: 0,
-            progress: HashMap::new(),
-            faults: Vec::new(),
-            faults_dropped: 0,
             machines: BTreeMap::new(),
             policy,
             sink: TelemetrySink::disabled(),
         }
     }
 
-    /// A monitor that forwards utilization samples and fault reports to
-    /// `sink` (per-resource gauges/histograms and `JobFaulted` events).
-    pub fn with_sink(sink: TelemetrySink) -> Self {
-        WorkerMonitor {
-            sink,
-            ..WorkerMonitor::default()
-        }
-    }
-
-    /// Attach (or replace) the telemetry sink, keeping all state.
+    /// Attach (or replace) the sink that receives `MachineBlacklisted`
+    /// events, keeping all state.
     pub fn set_sink(&mut self, sink: TelemetrySink) {
         self.sink = sink;
     }
@@ -166,63 +80,6 @@ impl WorkerMonitor {
     /// The health policy in force.
     pub fn policy(&self) -> &HealthPolicy {
         &self.policy
-    }
-
-    /// Record a utilization sample. Live gauges always see the sample;
-    /// the retained series is decimated (every other sample dropped and
-    /// the stride doubled) whenever it would exceed
-    /// [`HealthPolicy::max_utilization_samples`].
-    pub fn record_utilization(&mut self, snapshot: UtilizationSnapshot) {
-        debug_assert!(
-            self.snapshots
-                .last()
-                .is_none_or(|s| s.time <= snapshot.time),
-            "snapshots must be recorded in time order"
-        );
-        self.sink
-            .with(|t| t.record_utilization(snapshot.time, &snapshot.util));
-        let seq = self.snapshot_seq;
-        self.snapshot_seq += 1;
-        if !seq.is_multiple_of(self.snapshot_stride) {
-            return;
-        }
-        if self.snapshots.len() >= self.policy.max_utilization_samples.max(2) {
-            let mut i = 0usize;
-            self.snapshots.retain(|_| {
-                let keep = i.is_multiple_of(2);
-                i += 1;
-                keep
-            });
-            self.snapshot_stride *= 2;
-        }
-        self.snapshots.push(snapshot);
-    }
-
-    /// Record (overwrite) a job's progress.
-    pub fn record_progress(&mut self, job: JobId, progress: JobProgress) {
-        self.progress.insert(job, progress);
-    }
-
-    /// Drop the progress entry of a finished job so week-long traces
-    /// don't accumulate completed-job state.
-    pub fn forget_job(&mut self, job: JobId) {
-        self.progress.remove(&job);
-    }
-
-    /// Record a fault. The report always feeds telemetry; the retained
-    /// list is bounded by [`HealthPolicy::max_fault_reports`]
-    /// (drop-newest, with a counter).
-    pub fn report_fault(&mut self, fault: FaultReport) {
-        self.sink.emit(|| Event::JobFaulted {
-            time: fault.time,
-            job: fault.job,
-            kind: fault.kind,
-        });
-        if self.faults.len() < self.policy.max_fault_reports.max(1) {
-            self.faults.push(fault);
-        } else {
-            self.faults_dropped += 1;
-        }
     }
 
     /// Count one machine-level failure against `machine`'s health.
@@ -281,19 +138,6 @@ impl WorkerMonitor {
         });
     }
 
-    /// Health of `machine` as of `now` (expired blacklists read as
-    /// healthy or suspect depending on counters).
-    pub fn health(&self, machine: u32, now: SimTime) -> MachineHealth {
-        match self.machines.get(&machine) {
-            None => MachineHealth::Healthy,
-            Some(st) if Self::is_banned_at(st, now) => MachineHealth::Blacklisted,
-            Some(st) if st.consecutive_faults > 0 || st.straggler_strikes > 0 => {
-                MachineHealth::Suspect
-            }
-            Some(_) => MachineHealth::Healthy,
-        }
-    }
-
     /// Machines blacklisted as of `now`, ascending.
     pub fn blacklisted_machines(&self, now: SimTime) -> Vec<u32> {
         self.machines
@@ -315,156 +159,11 @@ impl WorkerMonitor {
             .filter_map(|(&m, st)| st.blacklisted_until.map(|until| (m, until)))
             .collect()
     }
-
-    /// Latest known progress of `job`.
-    pub fn progress(&self, job: JobId) -> Option<&JobProgress> {
-        self.progress.get(&job)
-    }
-
-    /// All retained utilization samples, in time order (decimated once
-    /// the memory bound is hit).
-    pub fn utilization_series(&self) -> &[UtilizationSnapshot] {
-        &self.snapshots
-    }
-
-    /// All retained faults.
-    pub fn faults(&self) -> &[FaultReport] {
-        &self.faults
-    }
-
-    /// Fault reports dropped after the retention bound was reached.
-    pub fn faults_dropped(&self) -> u64 {
-        self.faults_dropped
-    }
-
-    /// Time-weighted average utilization per resource over the recorded
-    /// series (each sample holds until the next).
-    pub fn average_utilization(&self) -> ResourceVec<f64> {
-        if self.snapshots.len() < 2 {
-            return self
-                .snapshots
-                .first()
-                .map_or(ResourceVec::splat(0.0), |s| s.util);
-        }
-        let mut acc = ResourceVec::splat(0.0);
-        let mut total = 0.0;
-        for w in self.snapshots.windows(2) {
-            let dt = w[1].time.since(w[0].time).as_secs_f64();
-            total += dt;
-            for (r, &u) in w[0].util.iter() {
-                acc[r] += u * dt;
-            }
-        }
-        if total == 0.0 {
-            return self.snapshots[0].util;
-        }
-        acc.map(|_, &v| v / total)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muri_workload::ResourceKind;
-
-    #[test]
-    fn progress_tracking() {
-        let mut m = WorkerMonitor::new();
-        assert!(m.progress(JobId(1)).is_none());
-        m.record_progress(
-            JobId(1),
-            JobProgress {
-                completed_iterations: 50,
-                total_iterations: 200,
-                avg_iteration: Some(SimDuration::from_millis(300)),
-            },
-        );
-        let p = m.progress(JobId(1)).unwrap();
-        assert!((p.fraction_done() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fraction_done_handles_degenerate_totals() {
-        let p = JobProgress::default();
-        assert_eq!(p.fraction_done(), 1.0);
-        let over = JobProgress {
-            completed_iterations: 10,
-            total_iterations: 5,
-            avg_iteration: None,
-        };
-        assert_eq!(over.fraction_done(), 1.0);
-    }
-
-    #[test]
-    fn average_utilization_is_time_weighted() {
-        let mut m = WorkerMonitor::new();
-        let snap = |t: u64, gpu: f64| UtilizationSnapshot {
-            time: SimTime::from_secs(t),
-            util: ResourceVec::from_fn(|r| if r == ResourceKind::Gpu { gpu } else { 0.0 }),
-        };
-        // GPU at 1.0 for 1s, then 0.0 for 3s → average 0.25.
-        m.record_utilization(snap(0, 1.0));
-        m.record_utilization(snap(1, 0.0));
-        m.record_utilization(snap(4, 0.0));
-        let avg = m.average_utilization();
-        assert!((avg[ResourceKind::Gpu] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_of_empty_or_single_series() {
-        let m = WorkerMonitor::new();
-        assert_eq!(m.average_utilization().values(), [0.0; 4]);
-        let mut m2 = WorkerMonitor::new();
-        m2.record_utilization(UtilizationSnapshot {
-            time: SimTime::ZERO,
-            util: ResourceVec::splat(0.5),
-        });
-        assert_eq!(m2.average_utilization().values(), [0.5; 4]);
-    }
-
-    #[test]
-    fn sink_forwarding_mirrors_monitor_state() {
-        use muri_telemetry::Telemetry;
-        let sink = TelemetrySink::enabled(Telemetry::new());
-        let mut m = WorkerMonitor::with_sink(sink.clone());
-        m.record_utilization(UtilizationSnapshot {
-            time: SimTime::from_secs(1),
-            util: ResourceVec::splat(0.5),
-        });
-        m.report_fault(FaultReport {
-            job: JobId(7),
-            time: SimTime::from_secs(2),
-            kind: FaultKind::Injected,
-            machine: None,
-        });
-        drop(m); // release the monitor's clone of the sink
-        let t = sink.into_inner().expect("last handle");
-        assert_eq!(t.journal.counts().faulted, 1);
-        assert_eq!(
-            t.metrics
-                .gauge_value("muri_utilization", &[("resource", "gpu")]),
-            Some(0.5)
-        );
-    }
-
-    #[test]
-    fn faults_accumulate_up_to_the_retention_bound() {
-        let mut m = WorkerMonitor::with_policy(HealthPolicy {
-            max_fault_reports: 2,
-            ..HealthPolicy::default()
-        });
-        for i in 0..5u32 {
-            m.report_fault(FaultReport {
-                job: JobId(i),
-                time: SimTime::from_secs(u64::from(i)),
-                kind: FaultKind::MachineTransient,
-                machine: Some(0),
-            });
-        }
-        assert_eq!(m.faults().len(), 2);
-        assert_eq!(m.faults_dropped(), 3);
-        assert_eq!(m.faults()[0].job, JobId(0));
-    }
 
     #[test]
     fn consecutive_machine_faults_blacklist_then_expire() {
@@ -472,15 +171,19 @@ mod tests {
         let t = SimTime::from_secs(100);
         m.record_machine_fault(2, t);
         m.record_machine_fault(2, t);
-        assert_eq!(m.health(2, t), MachineHealth::Suspect);
         assert!(m.blacklisted_machines(t).is_empty());
         m.record_machine_fault(2, t);
-        assert_eq!(m.health(2, t), MachineHealth::Blacklisted);
         assert_eq!(m.blacklisted_machines(t), vec![2]);
+        assert_eq!(
+            m.blacklisted_with_expiry(t),
+            vec![(2, t + m.policy().blacklist_duration)]
+        );
         // The ban is time-bound: after the duration the machine is
-        // retried (counters were reset on blacklist).
+        // retried, and the counters were reset on blacklist.
         let later = t + m.policy().blacklist_duration;
-        assert_eq!(m.health(2, later), MachineHealth::Healthy);
+        assert!(m.blacklisted_machines(later).is_empty());
+        m.record_machine_fault(2, later);
+        m.record_machine_fault(2, later);
         assert!(m.blacklisted_machines(later).is_empty());
     }
 
@@ -493,8 +196,10 @@ mod tests {
         m.record_machine_ok(1);
         m.record_machine_fault(1, t);
         // 2 faults + reset + 1 fault: never 3 consecutive.
-        assert_eq!(m.health(1, t), MachineHealth::Suspect);
         assert!(m.blacklisted_machines(t).is_empty());
+        m.record_machine_fault(1, t);
+        m.record_machine_fault(1, t);
+        assert_eq!(m.blacklisted_machines(t), vec![1]);
     }
 
     #[test]
@@ -506,9 +211,9 @@ mod tests {
         m.observe_machine_rate(4, t, 1.0); // on pace: strikes clear
         m.observe_machine_rate(4, t, 1.5);
         m.observe_machine_rate(4, t, 1.5);
-        assert_eq!(m.health(4, t), MachineHealth::Suspect);
+        assert!(m.blacklisted_machines(t).is_empty());
         m.observe_machine_rate(4, t, 1.5);
-        assert_eq!(m.health(4, t), MachineHealth::Blacklisted);
+        assert_eq!(m.blacklisted_machines(t), vec![4]);
     }
 
     #[test]
@@ -529,44 +234,9 @@ mod tests {
                 machine, reason, ..
             } => {
                 assert_eq!(*machine, 7);
-                assert_eq!(*reason, muri_telemetry::BlacklistReason::ConsecutiveFaults);
+                assert_eq!(*reason, BlacklistReason::ConsecutiveFaults);
             }
             other => panic!("unexpected event {other:?}"),
         }
-    }
-
-    #[test]
-    fn utilization_series_is_decimated_at_the_bound() {
-        let mut m = WorkerMonitor::with_policy(HealthPolicy {
-            max_utilization_samples: 8,
-            ..HealthPolicy::default()
-        });
-        for t in 0..100u64 {
-            m.record_utilization(UtilizationSnapshot {
-                time: SimTime::from_secs(t),
-                util: ResourceVec::splat(0.5),
-            });
-        }
-        let series = m.utilization_series();
-        assert!(
-            series.len() <= 9,
-            "series must stay bounded, got {}",
-            series.len()
-        );
-        // Decimation keeps the series in time order and spanning the run.
-        assert!(series.windows(2).all(|w| w[0].time <= w[1].time));
-        assert_eq!(series[0].time, SimTime::ZERO);
-        // The average is still computable and sane.
-        let avg = m.average_utilization();
-        assert!((avg[ResourceKind::Gpu] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn forget_job_prunes_progress() {
-        let mut m = WorkerMonitor::new();
-        m.record_progress(JobId(1), JobProgress::default());
-        assert!(m.progress(JobId(1)).is_some());
-        m.forget_job(JobId(1));
-        assert!(m.progress(JobId(1)).is_none());
     }
 }

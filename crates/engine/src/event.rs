@@ -10,11 +10,11 @@ use muri_workload::JobId;
 /// handler can drop events aimed at a group that has since been
 /// reformed or torn down without cancelling anything in the queue.
 ///
-/// The derive list matters: `Ord` on this enum (variant order first,
-/// then payload) is part of the deterministic event ordering inside
-/// [`crate::VirtualClockQueue`]'s heap entries, so the variant order
-/// below is load-bearing and mirrors the simulator's historical
-/// internal event type exactly.
+/// `Ord` is derived only so the event can sit in
+/// [`crate::VirtualClockQueue`]'s `(time, seq, event)` heap entries. It
+/// never decides the pop order: every `seq` is unique, so events at the
+/// same instant pop in insertion order whatever their variant, and
+/// variants may be added or reordered freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SchedulerEvent {
     /// A job submission becomes visible to the scheduler. The payload
@@ -54,9 +54,6 @@ pub enum SchedulerEvent {
     PlanRequested,
     /// Spot machine `m` receives its advance eviction warning: drain
     /// hosted groups to a checkpoint before the eviction lands.
-    ///
-    /// New variants append here — the `Ord` variant order above is
-    /// frozen (see the type docs).
     SpotWarning(u32),
     /// Spot machine `m` is evicted (capacity leaves the cluster).
     SpotEvicted(u32),

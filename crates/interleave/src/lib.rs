@@ -19,11 +19,8 @@
 
 pub mod contention;
 pub mod efficiency;
-pub mod fuse;
 pub mod group;
-pub mod model_parallel;
 pub mod ordering;
-pub mod pipeline;
 pub mod timeline;
 pub mod viz;
 
@@ -32,12 +29,9 @@ pub use efficiency::{
     group_efficiency, group_efficiency_on_cycle, group_iteration_time,
     pair_efficiency_two_resources, pair_iteration_time_two_resources,
 };
-pub use fuse::{best_fused_bipartition, fusion_search_space, FusedJob};
 pub use group::{pair_efficiency, GroupMember, InterleaveGroup};
-pub use model_parallel::{mp_pair_efficiency, ModelParallelJob};
 pub use ordering::{
     choose_ordering, enumerate_assignments, policy_efficiency, ChosenOrdering, OrderingPolicy,
 };
-pub use pipeline::{interleaving_gain_over_pipelining, PipelineModel};
 pub use timeline::{run_timeline, stagger_delays, TimelineJob, TimelineReport};
 pub use viz::render_schedule;

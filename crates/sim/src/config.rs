@@ -5,12 +5,12 @@ use muri_core::SchedulerConfig;
 use muri_workload::{JobSpec, ProfilerConfig, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Fault-domain plan (§5: executors report faults to the worker monitor;
-/// the job is terminated and pushed back to the queue). Beyond the
-/// original per-job MTBF model this injects machine-level fail-stop and
-/// transient faults — a machine fault cascades to every job and group
-/// the machine hosts — and degraded machines that run every stage of
-/// jobs placed on them slower.
+/// Fault-domain plan (§5: a faulted job is terminated, reported, and
+/// pushed back to the queue). Beyond the original per-job MTBF model
+/// this injects machine-level fail-stop and transient faults — a
+/// machine fault cascades to every job and group the machine hosts —
+/// and degraded machines that run every stage of jobs placed on them
+/// slower.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Mean time between faults per running job (exponential). `None`
@@ -212,9 +212,6 @@ fn unit_draw(seed: u64, stream: u64, id: u32) -> f64 {
     let z = splitmix64(seed ^ stream.rotate_left(32) ^ u64::from(id));
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
-
-/// Historical name of [`FaultPlan`].
-pub type FaultConfig = FaultPlan;
 
 /// Checkpoint/restore model: jobs periodically pay a checkpoint cost
 /// and, on a *machine* fault, resume from the last durable point

@@ -35,9 +35,7 @@
 
 use crate::config::SimConfig;
 use crate::metrics::{JobRecord, SeriesSample, SimReport};
-use muri_cluster::{
-    Cluster, FaultKind, FaultReport, GpuId, GpuSet, JobProgress, UtilizationSnapshot, WorkerMonitor,
-};
+use muri_cluster::{Cluster, FaultKind, GpuId, GpuSet, WorkerMonitor};
 use muri_core::{plan_schedule_with, PendingJob, PlannedGroup};
 use muri_engine::{EventHandler, EventQueue, SchedulerEvent, VirtualClockQueue};
 use muri_interleave::{choose_ordering, GroupMember, InterleaveGroup};
@@ -278,11 +276,10 @@ pub struct EngineCore {
     /// Machine fail/repair draws — a stream separate from `fault_rng` so
     /// enabling one fault feature doesn't shift the other's schedule.
     machine_rng: SmallRng,
-    /// `degraded[m]` — machine `m` runs every stage of hosted jobs slower
-    /// by `faults.degraded_slowdown`.
-    degraded: Vec<bool>,
-    /// `spot[m]` — machine `m` is spot/preemptible (seeded draw).
-    spot: Vec<bool>,
+    /// `slowdown[m]` — machine `m` runs every stage of hosted jobs this
+    /// much slower: `faults.degraded_slowdown` on degraded machines
+    /// (seeded draw), 1 elsewhere.
+    slowdown: Vec<f64>,
     /// When the pending spot warning fired, per machine (`None` when no
     /// eviction is in flight or the eviction came without warning).
     spot_warned: Vec<Option<SimTime>>,
@@ -293,9 +290,6 @@ pub struct EngineCore {
     spot_rng: SmallRng,
     /// Elastic resize-gap draws — likewise an independent stream.
     elastic_rng: SmallRng,
-    /// Per-machine stage-speed factor ≥ 1: GPU-generation slowdown ×
-    /// degradation. All ones on a homogeneous, healthy cluster.
-    speed: Vec<f64>,
     series: Vec<SeriesSample>,
     passes: u64,
     nevents: u64,
@@ -306,8 +300,8 @@ pub struct EngineCore {
     /// Telemetry sink — disabled (a single `None` branch per site) unless
     /// installed via [`EngineCore::set_telemetry`].
     sink: TelemetrySink,
-    /// The worker monitor (§3): fed utilization samples and fault reports
-    /// only when telemetry is on; forwards both into `sink`.
+    /// The worker monitor (§3): per-machine fault streaks, straggler
+    /// strikes and timed blacklists that placement avoids.
     monitor: WorkerMonitor,
     /// `Some` when collecting an audit trail (`simulate_audited`); `None`
     /// means debug builds assert on violations instead.
@@ -334,8 +328,9 @@ pub struct EngineCore {
 enum Stop {
     /// Every member requeues with its progress persisted.
     Graceful,
-    /// Machine `m` failed under `kind`: every member faults.
-    Machine(FaultKind, u32),
+    /// A machine hosting the group failed under this kind: every member
+    /// faults.
+    Machine(FaultKind),
     /// This member crashed and faults; the rest stop gracefully.
     Crash(JobId),
 }
@@ -406,12 +401,14 @@ impl EventHandler for EngineCore {
 impl EngineCore {
     fn empty(cfg: &SimConfig, trace_name: String, arrivals_left: usize) -> Self {
         let machines = cfg.cluster.machines as usize;
-        let degraded = draw_machines(
+        let slowdown = draw_machines(
             cfg.faults.seed ^ 0xDE6A,
             cfg.faults.degraded_machines,
             machines,
-        );
-        let spot = draw_machines(cfg.faults.seed ^ 0x5907, cfg.faults.spot_machines, machines);
+        )
+        .into_iter()
+        .map(|d| if d { cfg.faults.degraded_slowdown } else { 1.0 })
+        .collect();
         let mut cluster = Cluster::new(cfg.cluster);
         if cfg.faults.hetero_active() {
             cluster.set_generations(
@@ -420,18 +417,6 @@ impl EngineCore {
                     .collect(),
             );
         }
-        let speed: Vec<f64> = (0..machines)
-            .map(|m| {
-                let gen = cfg
-                    .faults
-                    .generation_factor(cfg.faults.generation_of(m as u32));
-                if degraded[m] {
-                    gen * cfg.faults.degraded_slowdown
-                } else {
-                    gen
-                }
-            })
-            .collect();
         EngineCore {
             cfg: *cfg,
             specs: Vec::new(),
@@ -448,13 +433,11 @@ impl EngineCore {
             arrivals_left,
             fault_rng: SmallRng::seed_from_u64(cfg.faults.seed ^ 0xFA17),
             machine_rng: SmallRng::seed_from_u64(cfg.faults.seed ^ 0x3AC1),
-            degraded,
-            spot,
+            slowdown,
             spot_warned: vec![None; machines],
             spot_drained: vec![0; machines],
             spot_rng: SmallRng::seed_from_u64(cfg.faults.seed ^ 0x5B07),
             elastic_rng: SmallRng::seed_from_u64(cfg.faults.seed ^ 0xE7A5),
-            speed,
             series: Vec::new(),
             passes: 0,
             nevents: 0,
@@ -513,8 +496,14 @@ impl EngineCore {
         if !self.cfg.faults.spot_active() {
             return;
         }
-        for m in 0..self.cfg.cluster.machines {
-            if self.spot[m as usize] {
+        let machines = self.cfg.cluster.machines;
+        let spot = draw_machines(
+            self.cfg.faults.seed ^ 0x5907,
+            self.cfg.faults.spot_machines,
+            machines as usize,
+        );
+        for m in 0..machines {
+            if spot[m as usize] {
                 self.arm_spot_cycle(m, q);
             }
         }
@@ -586,7 +575,6 @@ impl EngineCore {
         if let Some(pos) = self.queue.iter().position(|&j| j == id) {
             self.queue.remove(pos);
             self.cancelled.insert(id);
-            self.monitor.forget_job(id);
             return true;
         }
         if let Some(gid) = self.group_of(id) {
@@ -604,7 +592,6 @@ impl EngineCore {
                 .map(|g| g.members.iter().copied().filter(|&m| m != id).collect())
                 .unwrap_or_default();
             self.cancelled.insert(id);
-            self.monitor.forget_job(id);
             self.reform_group(gid, survivors, q);
             self.replan(q);
             return true;
@@ -818,16 +805,15 @@ impl EngineCore {
         self.replan(q);
     }
 
-    /// Terminate a running job under a fault, route the report through
-    /// the worker monitor (§5), and requeue the job. Returns the work
-    /// the rollback wasted.
+    /// Terminate a running job under a fault, report it (§5), and
+    /// requeue the job. Returns the work the rollback wasted.
     ///
     /// Machine-level faults destroy device state: progress rolls back to
     /// the last durable point (checkpoint or graceful stop) and the lost
     /// work is accounted. Per-job injected faults model a process crash
     /// whose state survives on the still-healthy machine, so the job
     /// resumes where it stopped and pays only the flat restart penalty.
-    fn fault_job(&mut self, job: JobId, kind: FaultKind, machine: Option<u32>) -> SimDuration {
+    fn fault_job(&mut self, job: JobId, kind: FaultKind) -> SimDuration {
         let now = self.now;
         let mut lost = 0u64;
         let mut wasted = SimDuration::ZERO;
@@ -849,14 +835,10 @@ impl EngineCore {
                 wasted,
             });
         }
-        // Always routed (not sink-gated): the report feeds machine
-        // health, which feeds placement — behavior must be identical
-        // with telemetry on or off.
-        self.monitor.report_fault(FaultReport {
-            job,
+        self.sink.emit(|| Event::JobFaulted {
             time: now,
+            job,
             kind,
-            machine,
         });
         self.queue.push(job);
         wasted
@@ -1288,7 +1270,6 @@ impl EngineCore {
             }
             self.sink
                 .emit(|| Event::JobCompleted { time: now, job: *m });
-            self.monitor.forget_job(*m);
         }
         if self.cfg.faults.health_active() {
             // Completions are healthy progress: clear the hosting
@@ -1327,16 +1308,15 @@ impl EngineCore {
                     j.finish = Some(now);
                 }
                 self.sink.emit(|| Event::JobCompleted { time: now, job });
-                self.monitor.forget_job(job);
                 continue;
             }
             let fault = match how {
-                Stop::Machine(kind, m) => Some((kind, Some(m))),
-                Stop::Crash(crashed) if crashed == job => Some((FaultKind::Injected, None)),
+                Stop::Machine(kind) => Some(kind),
+                Stop::Crash(crashed) if crashed == job => Some(FaultKind::Injected),
                 Stop::Graceful | Stop::Crash(_) => None,
             };
-            if let Some((kind, machine)) = fault {
-                wasted += self.fault_job(job, kind, machine);
+            if let Some(kind) = fault {
+                wasted += self.fault_job(job, kind);
                 faulted += 1;
             } else {
                 // Graceful stop: progress persists (the restart penalty
@@ -1360,7 +1340,7 @@ impl EngineCore {
         let mut wasted = SimDuration::ZERO;
         for gid in 0..self.groups.len() {
             if self.group_on_machine(gid, m) {
-                let (h, w) = self.stop_group(gid, Stop::Machine(kind, m));
+                let (h, w) = self.stop_group(gid, Stop::Machine(kind));
                 hit += h;
                 wasted += w;
             }
@@ -1506,12 +1486,18 @@ impl EngineCore {
             .group_overhead(truths.len(), self.cfg.scheduler.policy.gpu_shares());
         // The interleave cycle stalls with its slowest participant: the
         // worst per-machine speed factor spanned by the lease governs
-        // the whole group. Degradation is the homogeneous special case
-        // (speed = `degraded_slowdown` on degraded machines, 1 else);
-        // GPU generations contribute their generation factor on top.
+        // the whole group: the machine's GPU-generation factor times its
+        // degradation slowdown (all ones on a homogeneous, healthy
+        // cluster).
         let worst = gpus
             .iter()
-            .map(|&g| self.speed[self.cluster.spec().machine_of(g) as usize])
+            .map(|&g| {
+                let m = self.cluster.spec().machine_of(g);
+                self.cfg
+                    .faults
+                    .generation_factor(self.cfg.faults.generation_of(m))
+                    * self.slowdown[m as usize]
+            })
             .fold(1.0_f64, f64::max);
         if worst > 1.0 {
             factor *= worst;
@@ -1758,11 +1744,7 @@ impl EngineCore {
             // rate against the plan; degraded machines read as
             // stragglers, on-pace machines clear their strikes.
             for m in self.machines_of_group(gid) {
-                let ratio = if self.degraded[m as usize] {
-                    self.cfg.faults.degraded_slowdown
-                } else {
-                    1.0
-                };
+                let ratio = self.slowdown[m as usize];
                 self.monitor.observe_machine_rate(m, self.now, ratio);
             }
             self.sync_banned();
@@ -2000,27 +1982,7 @@ impl EngineCore {
                 (rem > 0.0).then(|| pending.as_secs_f64() / rem)
             })
             .collect();
-        if self.sink.is_enabled() {
-            self.monitor.record_utilization(UtilizationSnapshot {
-                time: self.now,
-                util,
-            });
-            // Executor progress reports for every running member (the
-            // monitor prunes these as jobs finish).
-            for g in self.groups.iter().flatten() {
-                for &m in &g.members {
-                    let j = &self.jobs[&m];
-                    self.monitor.record_progress(
-                        m,
-                        JobProgress {
-                            completed_iterations: j.done_iters,
-                            total_iterations: j.spec.iterations,
-                            avg_iteration: Some(g.iter_time),
-                        },
-                    );
-                }
-            }
-        }
+        self.sink.with(|t| t.record_utilization(self.now, &util));
         self.series.push(SeriesSample {
             time: self.now,
             queue_length: self.queue.len(),

@@ -23,7 +23,7 @@ pub mod engine;
 pub mod metrics;
 pub mod replicate;
 
-pub use config::{CheckpointConfig, FaultConfig, FaultPlan, SimConfig};
+pub use config::{CheckpointConfig, FaultPlan, SimConfig};
 #[cfg(feature = "audit")]
 pub use engine::simulate_audited;
 pub use engine::{

@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use muri_core::{PolicyKind, SchedulerConfig};
-use muri_sim::{simulate_audited, CheckpointConfig, FaultConfig, SimConfig};
+use muri_sim::{simulate_audited, CheckpointConfig, FaultPlan, SimConfig};
 use muri_workload::{philly_like_trace, SimDuration};
 
 #[test]
@@ -36,7 +36,7 @@ fn faulty_audited_simulations_are_violation_free() {
     let trace = philly_like_trace(2, 0.02);
     for policy in [PolicyKind::MuriL, PolicyKind::Srsf] {
         let mut cfg = SimConfig::testbed(SchedulerConfig::preset(policy));
-        cfg.faults = FaultConfig {
+        cfg.faults = FaultPlan {
             mtbf: Some(SimDuration::from_secs(1800)),
             machine_mtbf: Some(SimDuration::from_secs(3600)),
             machine_mttr: SimDuration::from_secs(300),
@@ -44,7 +44,7 @@ fn faulty_audited_simulations_are_violation_free() {
             degraded_machines: 1,
             degraded_slowdown: 1.5,
             seed: 23,
-            ..FaultConfig::default()
+            ..FaultPlan::default()
         };
         cfg.checkpoint = CheckpointConfig {
             interval: Some(SimDuration::from_secs(300)),

@@ -6,7 +6,7 @@
 
 use muri_cluster::ClusterSpec;
 use muri_core::{PolicyKind, SchedulerConfig};
-use muri_sim::{simulate, FaultConfig, SimConfig, SimReport};
+use muri_sim::{simulate, FaultPlan, SimConfig, SimReport};
 use muri_workload::{JobId, JobSpec, ModelKind, ProfilerConfig, SimDuration, SimTime, Trace};
 
 /// A small mixed trace: `n` single-GPU jobs cycling through the four
@@ -213,10 +213,10 @@ fn profiling_noise_degrades_but_does_not_break_muri() {
 fn faults_requeue_and_jobs_still_finish() {
     let trace = mixed_trace(12, 60);
     let mut cfg = small_config(PolicyKind::MuriL);
-    cfg.faults = FaultConfig {
+    cfg.faults = FaultPlan {
         mtbf: Some(SimDuration::from_secs(40)),
         seed: 7,
-        ..FaultConfig::default()
+        ..FaultPlan::default()
     };
     let faulty = simulate(&trace, &cfg);
     check_conservation(&faulty, &trace);

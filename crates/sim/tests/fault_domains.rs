@@ -9,7 +9,7 @@
 use muri_cluster::ClusterSpec;
 use muri_core::{PolicyKind, SchedulerConfig};
 use muri_sim::{
-    replicate_with_workers, simulate, simulate_with_telemetry, CheckpointConfig, FaultConfig,
+    replicate_with_workers, simulate, simulate_with_telemetry, CheckpointConfig, FaultPlan,
     SimConfig,
 };
 use muri_telemetry::{Event, Telemetry, TelemetrySink};
@@ -49,12 +49,12 @@ fn machine_fault_config(checkpoint_secs: Option<u64>) -> SimConfig {
         cluster: ClusterSpec::with_machines(2), // 16 GPUs
         ..SimConfig::testbed(scheduler)
     };
-    cfg.faults = FaultConfig {
+    cfg.faults = FaultPlan {
         machine_mtbf: Some(SimDuration::from_secs(450)),
         machine_mttr: SimDuration::from_secs(120),
         transient_fraction: 0.5,
         seed: 7,
-        ..FaultConfig::default()
+        ..FaultPlan::default()
     };
     cfg.checkpoint = CheckpointConfig {
         interval: checkpoint_secs.map(SimDuration::from_secs),

@@ -10,7 +10,7 @@
 use muri_cluster::ClusterSpec;
 use muri_core::{PolicyKind, SchedulerConfig};
 use muri_sim::{
-    replicate_with_workers, simulate, simulate_with_telemetry, CheckpointConfig, FaultConfig,
+    replicate_with_workers, simulate, simulate_with_telemetry, CheckpointConfig, FaultPlan,
     SimConfig,
 };
 use muri_telemetry::{Event, Telemetry, TelemetrySink};
@@ -51,9 +51,9 @@ fn base_config() -> SimConfig {
         cluster: ClusterSpec::with_machines(2),
         ..SimConfig::testbed(scheduler)
     };
-    cfg.faults = FaultConfig {
+    cfg.faults = FaultPlan {
         seed: 11,
-        ..FaultConfig::default()
+        ..FaultPlan::default()
     };
     cfg
 }

@@ -20,7 +20,7 @@
 
 use muri_cluster::ClusterSpec;
 use muri_core::{PolicyKind, SchedulerConfig};
-use muri_sim::{simulate, simulate_with_telemetry, CheckpointConfig, FaultConfig, SimConfig};
+use muri_sim::{simulate, simulate_with_telemetry, CheckpointConfig, FaultPlan, SimConfig};
 use muri_telemetry::{Event, Telemetry, TelemetrySink};
 use muri_workload::{philly_like_trace, JobId, JobSpec, ModelKind, SimDuration, SimTime, Trace};
 use std::path::PathBuf;
@@ -96,7 +96,7 @@ fn hostile_config(policy: PolicyKind) -> SimConfig {
     scheduler.restart_penalty = SimDuration::from_secs(5);
     SimConfig {
         cluster: ClusterSpec::with_machines(2),
-        faults: FaultConfig {
+        faults: FaultPlan {
             seed: 11,
             mtbf: Some(SimDuration::from_secs(3000)),
             machine_mtbf: Some(SimDuration::from_secs(1500)),
@@ -113,7 +113,7 @@ fn hostile_config(policy: PolicyKind) -> SimConfig {
             elastic_interval: Some(SimDuration::from_secs(400)),
             slo_fraction: 0.3,
             slo_slack: 2.0,
-            ..FaultConfig::default()
+            ..FaultPlan::default()
         },
         checkpoint: CheckpointConfig {
             interval: Some(SimDuration::from_secs(300)),

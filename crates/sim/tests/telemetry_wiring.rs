@@ -14,7 +14,7 @@
 
 use muri_cluster::ClusterSpec;
 use muri_core::{PolicyKind, SchedulerConfig};
-use muri_sim::{simulate, simulate_with_telemetry, FaultConfig, SimConfig};
+use muri_sim::{simulate, simulate_with_telemetry, FaultPlan, SimConfig};
 use muri_telemetry::{Telemetry, TelemetrySink};
 use muri_workload::{philly_like_trace, ProfilerConfig, SimDuration};
 
@@ -37,10 +37,10 @@ fn noisy_faulty_config(policy: PolicyKind) -> SimConfig {
         reuse_cache: false,
         ..ProfilerConfig::default()
     };
-    cfg.faults = FaultConfig {
+    cfg.faults = FaultPlan {
         mtbf: Some(SimDuration::from_secs(120)),
         seed: 11,
-        ..FaultConfig::default()
+        ..FaultPlan::default()
     };
     cfg
 }
@@ -103,7 +103,7 @@ fn journal_counts_balance_against_the_report() {
         Some(counts.completed)
     );
 
-    // The worker monitor fed per-resource utilization gauges.
+    // The engine's tick samples fed per-resource utilization gauges.
     assert!(t
         .metrics
         .gauge_value("muri_utilization", &[("resource", "gpu")])

@@ -9,7 +9,7 @@
 
 use muri::cluster::ClusterSpec;
 use muri::core::{PolicyKind, SchedulerConfig};
-use muri::sim::{simulate, FaultConfig, SimConfig};
+use muri::sim::{simulate, FaultPlan, SimConfig};
 use muri::workload::{SimDuration, SynthConfig};
 
 fn main() {
@@ -36,10 +36,10 @@ fn main() {
             cluster: ClusterSpec::with_machines(2),
             ..SimConfig::testbed(SchedulerConfig::preset(PolicyKind::MuriL))
         };
-        cfg.faults = FaultConfig {
+        cfg.faults = FaultPlan {
             mtbf: (mtbf_mins > 0).then(|| SimDuration::from_mins(mtbf_mins)),
             seed: 5,
-            ..FaultConfig::default()
+            ..FaultPlan::default()
         };
         let r = simulate(&trace, &cfg);
         assert!(r.all_finished(), "faults must never lose a job");

@@ -19,12 +19,13 @@
 #      exporters enabled, then `muri telemetry-check` validates the
 #      artifacts: the journal parses and its lifecycle ledger conserves
 #      jobs, the Chrome trace is well-formed with monotonic timestamps,
-#      and the Prometheus text round-trips the golden parser
+#      and the Prometheus text round-trips the golden parser and
+#      carries the GPU utilization gauge
 #   7. fault smoke       a 20-job simulation under the machine-level
 #      fault battery (machine faults + repair, a degraded machine,
 #      periodic checkpointing) with the journal exported, then
 #      `muri telemetry-check` proves the faulty run's lifecycle ledger
-#      still conserves jobs
+#      still conserves jobs, and the journal must hold job_faulted records
 #   8. hostile smoke     the hostile-cluster scenario suite: a seeded
 #      spot-eviction + heterogeneous-GPU simulation with the journal
 #      exported and validated by `muri telemetry-check`, then audited
@@ -111,6 +112,11 @@ cargo run -q -p muri-cli -- telemetry-check \
     --journal "$tmpdir/journal.jsonl" \
     --metrics "$tmpdir/metrics.prom" \
     --chrome-trace "$tmpdir/trace.json"
+if ! grep -q '^muri_utilization{resource="gpu"} ' "$tmpdir/metrics.prom"; then
+    echo "ci: metrics.prom has no muri_utilization{resource=\"gpu\"} gauge:" >&2
+    echo "ci: the engine's tick samples no longer reach the sink" >&2
+    exit 1
+fi
 
 echo "==> fault smoke (machine faults + checkpointing, journal conserved)"
 cargo run -q -p muri-cli -- simulate muri-l --trace 1 --scale 0.02 \
@@ -119,6 +125,11 @@ cargo run -q -p muri-cli -- simulate muri-l --trace 1 --scale 0.02 \
     --checkpoint-interval 120 --checkpoint-cost 5 \
     --journal "$tmpdir/fault_journal.jsonl" >/dev/null
 cargo run -q -p muri-cli -- telemetry-check --journal "$tmpdir/fault_journal.jsonl"
+if ! grep -q '"type":"job_faulted"' "$tmpdir/fault_journal.jsonl"; then
+    echo "ci: the fault smoke journal has no job_faulted record:" >&2
+    echo "ci: faults no longer reach the sink" >&2
+    exit 1
+fi
 
 echo "==> hostile smoke (spot+hetero journal conserved, all-scenario audited verify)"
 cargo run -q -p muri-cli -- simulate muri-l --trace 1 --scale 0.02 \

@@ -19,7 +19,7 @@
 //! * [`matching`] — maximum-weight matching (Blossom `O(n³)`, greedy, and
 //!   an exact oracle for testing);
 //! * [`cluster`] — machines, GPU allocation and node-minimizing placement,
-//!   the worker monitor;
+//!   the worker monitor's per-machine health;
 //! * [`interleave`] — Eq. 1–4 interleaving efficiency, stage-ordering
 //!   enumeration, interleave groups, and a fine-grained per-GPU timeline
 //!   executor;

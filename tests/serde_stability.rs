@@ -7,7 +7,7 @@
 use muri::cluster::ClusterSpec;
 use muri::core::{GroupingConfig, PolicyKind, SchedulerConfig};
 use muri::interleave::OrderingPolicy;
-use muri::sim::{FaultConfig, SimConfig};
+use muri::sim::{FaultPlan, SimConfig};
 use muri::workload::{philly_like_trace, ProfilerConfig, SimDuration, SynthConfig};
 
 fn roundtrip<T>(value: &T) -> T
@@ -41,7 +41,7 @@ fn sim_config_roundtrips() {
     let mut cfg = SimConfig::testbed(SchedulerConfig::preset(PolicyKind::MuriS));
     cfg.cluster = ClusterSpec::with_machines(3);
     cfg.profiler = ProfilerConfig::with_noise(0.4);
-    cfg.faults = FaultConfig {
+    cfg.faults = FaultPlan {
         mtbf: Some(SimDuration::from_hours(2)),
         seed: 99,
         machine_mtbf: Some(SimDuration::from_hours(6)),
@@ -49,7 +49,7 @@ fn sim_config_roundtrips() {
         transient_fraction: 0.25,
         degraded_machines: 1,
         degraded_slowdown: 1.75,
-        ..FaultConfig::default()
+        ..FaultPlan::default()
     };
     cfg.checkpoint = muri::sim::CheckpointConfig {
         interval: Some(SimDuration::from_mins(5)),
@@ -65,7 +65,7 @@ fn json_fault_plan_defaults_for_old_payloads() {
     // existed must still parse (serde defaults keep every new feature
     // off).
     let legacy = r#"{"mtbf":7200000000,"seed":99}"#;
-    let plan: FaultConfig = serde_json::from_str(legacy).expect("legacy parses");
+    let plan: FaultPlan = serde_json::from_str(legacy).expect("legacy parses");
     assert_eq!(plan.mtbf, Some(SimDuration::from_hours(2)));
     assert_eq!(plan.machine_mtbf, None);
     assert_eq!(plan.degraded_machines, 0);
