@@ -199,24 +199,35 @@ struct Options {
     out: Option<PathBuf>,
 }
 
+/// Parse a `--scale` value: a number in (0, 10].
+fn parse_scale(v: Option<&String>) -> Result<Scale, CliError> {
+    let v = v.ok_or_else(|| CliError::usage("--scale needs a value"))?;
+    let s: f64 = v
+        .parse()
+        .map_err(|_| CliError::usage(format!("bad scale {v:?}")))?;
+    if !(s > 0.0 && s <= 10.0) {
+        return Err(CliError::usage(format!("scale {s} out of range (0, 10]")));
+    }
+    Ok(Scale(s))
+}
+
+/// Parse a `--machines` value: a count of at least 1.
+fn parse_machines(v: Option<&String>) -> Result<u32, CliError> {
+    let v = v.ok_or_else(|| CliError::usage("--machines needs a count"))?;
+    match v.parse() {
+        Ok(0) => Err(CliError::usage("--machines must be >= 1")),
+        Ok(m) => Ok(m),
+        Err(_) => Err(CliError::usage(format!("bad --machines count {v:?}"))),
+    }
+}
+
 fn parse_options(args: &[String]) -> Result<Options, CliError> {
     let mut scale = Scale::default();
     let mut out = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--scale" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--scale needs a value"))?;
-                let s: f64 = v
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("bad scale {v:?}")))?;
-                if !(s > 0.0 && s <= 10.0) {
-                    return Err(CliError::usage(format!("scale {s} out of range (0, 10]")));
-                }
-                scale = Scale(s);
-            }
+            "--scale" => scale = parse_scale(it.next())?,
             "--out" => {
                 out = Some(PathBuf::from(
                     it.next()
@@ -460,11 +471,7 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
                     .parse()
                     .map_err(|_| CliError::usage("bad --port value"))?;
             }
-            "--machines" => {
-                machines = value("a count")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --machines count"))?;
-            }
+            "--machines" => machines = parse_machines(Some(value("a count")?))?,
             "--policy" => {
                 policy = parse_policy(value("a policy name")?)?;
             }
@@ -848,7 +855,7 @@ fn parse_policy(name: &str) -> Result<PolicyKind, CliError> {
 }
 
 /// Workload selection shared by `muri sim` and `muri verify`.
-fn parse_workload(args: &[String]) -> Result<(muri_workload::Trace, Scale, u32), CliError> {
+fn parse_workload(args: &[String]) -> Result<(muri_workload::Trace, u32), CliError> {
     let mut trace_idx = 1usize;
     let mut csv: Option<PathBuf> = None;
     let mut scale = Scale::default();
@@ -872,21 +879,8 @@ fn parse_workload(args: &[String]) -> Result<(muri_workload::Trace, Scale, u32),
                         .ok_or_else(|| CliError::usage("--csv needs a path"))?,
                 ));
             }
-            "--scale" => {
-                scale = Scale(
-                    it.next()
-                        .ok_or_else(|| CliError::usage("--scale needs a value"))?
-                        .parse()
-                        .map_err(|_| CliError::usage("bad scale"))?,
-                );
-            }
-            "--machines" => {
-                machines = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--machines needs a count"))?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad machine count"))?;
-            }
+            "--scale" => scale = parse_scale(it.next())?,
+            "--machines" => machines = parse_machines(it.next())?,
             other => return Err(CliError::usage(format!("unknown option {other:?}"))),
         }
     }
@@ -903,7 +897,7 @@ fn parse_workload(args: &[String]) -> Result<(muri_workload::Trace, Scale, u32),
         }
         None => muri_workload::philly_like_trace(trace_idx, scale.0),
     };
-    Ok((trace, scale, machines))
+    Ok((trace, machines))
 }
 
 /// Blossom sparsification overrides parsed off the `sim`/`verify`
@@ -1379,7 +1373,7 @@ fn sim_setup(
     let (popts, rest) = split_prune_opts(args)?;
     let (sopts, rest) = split_shard_opts(&rest)?;
     let (fopts, rest) = split_fault_opts(&rest)?;
-    let (trace, _scale, machines) = parse_workload(&rest)?;
+    let (trace, machines) = parse_workload(&rest)?;
     let mut cfg = SimConfig {
         cluster: muri_cluster::ClusterSpec::with_machines(machines),
         ..SimConfig::testbed(SchedulerConfig::preset(policy))

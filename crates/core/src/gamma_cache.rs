@@ -23,9 +23,9 @@
 //!   the lookup cost for small fixed-size keys;
 //! * hit/miss counters exposed through [`stats`] for tests and tuning.
 //!
-//! The cache is thread-local: scoped worker threads spawned by the
-//! parallel edge builder each get a fresh (empty) cache for the duration
-//! of one build, while the serial path accumulates across calls.
+//! The cache is thread-local and the planner scores every pair on the
+//! calling thread, so one thread's cache accumulates across calls and
+//! [`stats`] counts every lookup that thread's grouping made.
 
 use muri_interleave::{policy_efficiency, OrderingPolicy};
 use muri_workload::{StageProfile, NUM_RESOURCES};
@@ -238,8 +238,7 @@ pub fn stats() -> CacheStats {
 }
 
 /// Drop every cached entry and zero the counters on this thread. Tests
-/// use this to make cache-sensitive assertions (and cross-worker
-/// equivalence checks) non-vacuous.
+/// use this to make cache-sensitive assertions non-vacuous.
 pub fn reset() {
     CACHE.with(|cache| {
         let cap = cache.borrow().segment_capacity;

@@ -26,15 +26,8 @@
 //! * between rounds, edge weights are **incremental**: pairs of nodes
 //!   that survived a merge round unchanged copy their weight from the
 //!   previous round's graph instead of recomputing γ.
-//!
-//! Edge-weight construction optionally fans out over scoped worker
-//! threads ([`GroupingConfig::workers`]); the output is bit-identical for
-//! every worker count because each pair's weight is a pure function of
-//! the two member sets.
 
-use std::num::NonZeroUsize;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 use muri_interleave::OrderingPolicy;
 use muri_matching::{
@@ -83,13 +76,6 @@ pub struct GroupingConfig {
     /// GPUs — kept as an ablation of this repo's design decision
     /// (DESIGN.md §5b.3).
     pub capacity_aware: bool,
-    /// Worker threads for edge-weight construction. `0` (the default)
-    /// auto-detects from available parallelism; `1` forces the serial
-    /// path. Grouping output is **bit-identical for every value** — the
-    /// knob trades wall-clock for threads, never results — so it is
-    /// excluded from all memoization keys.
-    #[serde(default)]
-    pub workers: usize,
     /// Sparsify Blossom inputs to each node's `prune_top_m` heaviest
     /// incident edges before matching (plus keep-threshold edges); `0`
     /// disables sparsification and always runs the dense solver. Results
@@ -134,7 +120,6 @@ impl Default for GroupingConfig {
             ordering: OrderingPolicy::Best,
             min_efficiency: 0.0,
             capacity_aware: true,
-            workers: 0,
             prune_top_m: DEFAULT_PRUNE_TOP_M,
             prune_loss_bound: DEFAULT_PRUNE_LOSS_BOUND,
             shard_by: ShardBy::Auto,
@@ -167,27 +152,11 @@ pub fn merged_efficiency(profiles: &[StageProfile], ordering: OrderingPolicy) ->
     gamma_cache::merged_efficiency_cached(profiles, ordering)
 }
 
-/// Below this node count a round's edge build stays on the calling
-/// thread: spawn overhead beats the `O(n²)` scoring work.
-const PAR_MIN_NODES: usize = 64;
-
-/// Resolve the configured worker count for a round over `n` nodes.
-pub(crate) fn resolve_workers(configured: usize, n: usize) -> usize {
-    if n < PAR_MIN_NODES {
-        return 1;
-    }
-    if configured != 0 {
-        return configured;
-    }
-    static AUTO: OnceLock<usize> = OnceLock::new();
-    *AUTO.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
-
 /// Edge weight for merging two nodes: the fixed-point interleaving
 /// efficiency of the combined member set, or 0 (no edge) when the merge
 /// would exceed the size cap or fall below the efficiency threshold.
-/// Pure in `(u, v)` — this is what makes parallel and incremental edge
-/// construction exact.
+/// Pure in `(u, v)` — this is what makes incremental edge construction
+/// exact.
 pub(crate) fn node_pair_weight(
     members_u: &[usize],
     members_v: &[usize],
@@ -229,20 +198,16 @@ fn build_node_graph(
     cfg: &GroupingConfig,
     cap: usize,
 ) -> DenseGraph {
-    DenseGraph::build_symmetric(
-        nodes.len(),
-        resolve_workers(cfg.workers, nodes.len()),
-        |u, v| {
-            node_pair_weight(
-                &nodes[u],
-                &nodes[v],
-                profiles,
-                cap,
-                cfg.ordering,
-                cfg.min_efficiency,
-            )
-        },
-    )
+    DenseGraph::build_symmetric(nodes.len(), |u, v| {
+        node_pair_weight(
+            &nodes[u],
+            &nodes[v],
+            profiles,
+            cap,
+            cfg.ordering,
+            cfg.min_efficiency,
+        )
+    })
 }
 
 /// Rebuild a round graph after merges, incrementally: a pair of nodes
@@ -257,21 +222,17 @@ fn update_node_graph(
     cfg: &GroupingConfig,
     cap: usize,
 ) -> DenseGraph {
-    DenseGraph::build_symmetric(
-        nodes.len(),
-        resolve_workers(cfg.workers, nodes.len()),
-        |u, v| match (provenance[u], provenance[v]) {
-            (Some(a), Some(b)) => prev.weight(a, b),
-            _ => node_pair_weight(
-                &nodes[u],
-                &nodes[v],
-                profiles,
-                cap,
-                cfg.ordering,
-                cfg.min_efficiency,
-            ),
-        },
-    )
+    DenseGraph::build_symmetric(nodes.len(), |u, v| match (provenance[u], provenance[v]) {
+        (Some(a), Some(b)) => prev.weight(a, b),
+        _ => node_pair_weight(
+            &nodes[u],
+            &nodes[v],
+            profiles,
+            cap,
+            cfg.ordering,
+            cfg.min_efficiency,
+        ),
+    })
 }
 
 /// Merge matched pairs into single nodes: merged pairs first, then
@@ -1242,24 +1203,20 @@ mod tests {
     }
 
     #[test]
-    fn worker_counts_do_not_change_output() {
-        // More nodes than PAR_MIN_NODES so the parallel path really runs.
+    fn cold_grouping_counts_every_round_one_lookup() {
+        // Every round-1 pair is scored on the calling thread, so this
+        // thread's γ counters see all 80·79/2 of them.
         let profiles: Vec<StageProfile> = (0..80)
             .map(|i| cpu_gpu(1 + (i % 5) as u64, 5 - (i % 5) as u64))
             .collect();
-        let mut reference = None;
-        for workers in [1usize, 2, 4] {
-            crate::round_cache::reset();
-            crate::gamma_cache::reset();
-            let cfg = GroupingConfig {
-                workers,
-                ..GroupingConfig::default()
-            };
-            let groups = multi_round_grouping(&profiles, &cfg);
-            match &reference {
-                None => reference = Some(groups),
-                Some(r) => assert_eq!(r, &groups, "workers={workers} diverged"),
-            }
-        }
+        crate::round_cache::reset();
+        crate::gamma_cache::reset();
+        multi_round_grouping(&profiles, &GroupingConfig::default());
+        let s = crate::gamma_cache::stats();
+        assert!(
+            s.hits + s.misses >= 80 * 79 / 2,
+            "γ lookups escaped the caller's counters: {s:?}"
+        );
+        crate::round_cache::reset();
     }
 }

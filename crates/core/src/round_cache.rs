@@ -9,18 +9,16 @@
 //! efficiency threshold, and the sparsification knobs (top-m width and
 //! loss bound, see [`RoundParams`]) — and memoizes:
 //!
-//! * the round-1 edge-weight graph (shared by every matching mode and
-//!   every worker count, since edge weights are a pure function of the
-//!   key);
+//! * the round-1 edge-weight graph (shared by every matching mode,
+//!   since edge weights are a pure function of the key);
 //! * the round-1 matching, one slot per matching mode (Blossom / greedy);
 //! * the final multi-round groups per mode, so an exactly repeated
 //!   [`crate::grouping::multi_round_grouping`] call returns without
 //!   touching the matcher at all.
 //!
-//! The free-GPU count and the worker count are deliberately **not** part
-//! of the key: round-1 state does not depend on either (capacity only
-//! decides which matched pairs get *accepted*, and grouping output is
-//! identical for every worker count).
+//! The free-GPU count is deliberately **not** part of the key: round-1
+//! state does not depend on it (capacity only decides which matched
+//! pairs get *accepted*).
 //!
 //! Lookups hash the borrowed inputs without allocating; the owned key is
 //! only materialized on insert, and full-key equality is verified on
@@ -363,8 +361,7 @@ pub fn stats() -> CacheStats {
 }
 
 /// Drop every cached round entry and zero the counters on this thread.
-/// Tests use this to make cache-sensitive assertions (and cross-worker
-/// equivalence checks) non-vacuous.
+/// Tests use this to make cache-sensitive assertions non-vacuous.
 pub fn reset() {
     CACHE.with(|cache| {
         let budget = cache.borrow().segment_cell_budget;
@@ -395,7 +392,7 @@ mod tests {
     }
 
     fn toy_graph(n: usize) -> DenseGraph {
-        DenseGraph::build_symmetric(n, 1, |u, v| (u + v) as i64)
+        DenseGraph::build_symmetric(n, |u, v| (u + v) as i64)
     }
 
     fn toy_matching(g: &DenseGraph) -> Matching {

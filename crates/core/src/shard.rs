@@ -25,14 +25,11 @@
 //!    `k` members goes to shard `⌊j·S/k⌋`, so every shard sees the same
 //!    class mix and shard-local matchings compose into a near-optimal
 //!    global pairing.
-//! 4. **Template dedup + parallel solve.** A shard's candidate graph
-//!    depends only on its class-id sequence, so shards sharing a
-//!    template are solved once. Templates solve on
-//!    [`muri_matching::SparseGraph`] (CSR, no n×n allocation) through
-//!    the certified pruned Blossom path, fanned out over the same
-//!    scoped-thread pattern as edge construction — output is
-//!    bit-identical for every worker count because templates are
-//!    independent and results are folded in template order.
+//! 4. **Template dedup.** A shard's candidate graph depends only on its
+//!    class-id sequence, so shards sharing a template are solved once.
+//!    Templates solve on [`muri_matching::SparseGraph`] (CSR, no n×n
+//!    allocation) through the certified pruned Blossom path, in
+//!    template order.
 //! 5. **Repair rounds.** Odd leftovers per shard are re-sharded and
 //!    re-matched up to [`MAX_REPAIR_ROUNDS`] times.
 //! 6. **Composed certificate.** The final plan weight `W` is checked
@@ -59,9 +56,7 @@ use muri_matching::{
 use muri_workload::{ResourceKind, StageProfile, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
 
-use crate::grouping::{
-    node_pair_weight, prune_config, resolve_workers, GroupingConfig, GroupingMode,
-};
+use crate::grouping::{node_pair_weight, prune_config, GroupingConfig, GroupingMode};
 
 /// When the sharded planner engages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -384,14 +379,11 @@ fn solve_template(
 }
 
 /// Shard `subset` (global node indices, ascending), dedupe templates,
-/// solve them (in parallel when `workers > 1`), and return the global
-/// matched pairs. Deterministic and bit-identical for every worker
-/// count: templates are independent and stats fold in template order.
+/// solve each once, and return the global matched pairs.
 fn plan_subset(
     subset: &[usize],
     table: &ClassTable,
     shard_size: usize,
-    workers: usize,
     mode: GroupingMode,
     prune: PruneConfig,
     counters: &mut ShardCounters,
@@ -433,27 +425,13 @@ fn plan_subset(
         };
         template_of.push(t);
     }
-    let mut solves: Vec<Option<TemplateSolve>> = (0..templates.len()).map(|_| None).collect();
-    let worker_count = workers.min(templates.len()).max(1);
-    if worker_count <= 1 {
-        for (slot, seq) in solves.iter_mut().zip(&templates) {
-            *slot = Some(solve_template(seq, table, mode, prune));
-        }
-    } else {
-        let chunk = templates.len().div_ceil(worker_count);
-        std::thread::scope(|s| {
-            for (out_chunk, seq_chunk) in solves.chunks_mut(chunk).zip(templates.chunks(chunk)) {
-                s.spawn(move || {
-                    for (slot, seq) in out_chunk.iter_mut().zip(seq_chunk) {
-                        *slot = Some(solve_template(seq, table, mode, prune));
-                    }
-                });
-            }
-        });
-    }
+    let solves: Vec<TemplateSolve> = templates
+        .iter()
+        .map(|seq| solve_template(seq, table, mode, prune))
+        .collect();
     counters.shards += shard_count as u64;
     counters.templates += templates.len() as u64;
-    for solve in solves.iter().flatten() {
+    for solve in &solves {
         counters.pruned_edges += solve.pruned_edges;
         if solve.prune_fallback {
             counters.prune_fallbacks += 1;
@@ -461,12 +439,7 @@ fn plan_subset(
     }
     let mut pairs: Vec<(usize, usize, i64)> = Vec::new();
     for (shard, &t) in shards.iter().zip(&template_of) {
-        // Every template slot was filled by the solve loops above; an
-        // empty slot contributes nothing rather than panicking.
-        let Some(solve) = solves[t].as_ref() else {
-            continue;
-        };
-        for &(i, j, w) in &solve.pairs {
+        for &(i, j, w) in &solves[t].pairs {
             pairs.push((shard[i as usize], shard[j as usize], w));
         }
     }
@@ -493,10 +466,9 @@ pub(crate) fn sharded_round(
     }
     let table = build_class_table(nodes, profiles, cfg, cap);
     let shard_size = effective_shard_size(cfg);
-    let workers = resolve_workers(cfg.workers, n);
     let prune = prune_config(cfg);
     let all: Vec<usize> = (0..n).collect();
-    let mut pairs = plan_subset(&all, &table, shard_size, workers, cfg.mode, prune, counters);
+    let mut pairs = plan_subset(&all, &table, shard_size, cfg.mode, prune, counters);
     let mut matched = vec![false; n];
     for &(u, v, _) in &pairs {
         matched[u] = true;
@@ -507,9 +479,7 @@ pub(crate) fn sharded_round(
         if unmatched.len() < 2 {
             break;
         }
-        let extra = plan_subset(
-            &unmatched, &table, shard_size, workers, cfg.mode, prune, counters,
-        );
+        let extra = plan_subset(&unmatched, &table, shard_size, cfg.mode, prune, counters);
         if extra.is_empty() {
             break;
         }
@@ -647,26 +617,6 @@ mod tests {
             counters.templates < counters.shards,
             "aligned class mix must dedupe templates: {counters:?}"
         );
-    }
-
-    #[test]
-    fn worker_counts_are_bit_identical() {
-        let profiles = mixed(96);
-        let nodes = singletons(96);
-        let mut reference: Option<Vec<(usize, usize, i64)>> = None;
-        for workers in [1usize, 2, 4] {
-            crate::gamma_cache::reset();
-            let cfg = GroupingConfig {
-                workers,
-                ..force_cfg(16)
-            };
-            let mut counters = ShardCounters::default();
-            let pairs = sharded_round(&nodes, &profiles, &cfg, 4, &mut counters).unwrap();
-            match &reference {
-                None => reference = Some(pairs),
-                Some(r) => assert_eq!(r, &pairs, "workers={workers} diverged"),
-            }
-        }
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   bound `U` dominates every matching (including the dense optimum),
 //!   and a failed certificate at small n falls back to the dense path
 //!   verbatim. Either way the inequality must hold.
-//! * **Bit-identical output across worker counts** (1, 2, 4) and across
-//!   shard sizes re-run from cold caches: the shard assembly order and
-//!   the scoped-thread chunking must never leak into results.
+//! * **Bit-identical reruns** per shard size from cold caches: the shard
+//!   assembly order must never leak into results.
 //! * **Structural validity**: sharded groupings are exact partitions of
 //!   the job pool respecting `max_group_size`.
 
@@ -136,15 +135,13 @@ proptest! {
 }
 
 proptest! {
-    // Pool sizes reach past the scoped-thread threshold; fewer cases
-    // keep repeated Blossom runs affordable.
+    // Fewer cases keep repeated Blossom runs affordable.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Sharded grouping is byte-identical at 1, 2, and 4 workers, from
-    /// cold caches each time — the parallel template solves must not
-    /// leak scheduling order into the plan.
+    /// Sharded grouping from cold caches partitions the pool into groups
+    /// of at most `max_group_size`, for every shard size and mode.
     #[test]
-    fn sharded_grouping_identical_across_worker_counts(
+    fn sharded_grouping_partitions_the_pool(
         profiles in proptest::collection::vec(arb_profile(), 4..=80),
         shard_size in 3usize..=9,
         max_group_size in 2usize..=4,
@@ -155,29 +152,16 @@ proptest! {
         } else {
             GroupingMode::Blossom
         };
-        let mut reference: Option<Vec<Vec<usize>>> = None;
-        for workers in [1usize, 2, 4] {
-            reset_caches();
-            let cfg = GroupingConfig {
-                mode,
-                max_group_size,
-                workers,
-                shard_by: ShardBy::Force,
-                shard_size,
-                ..GroupingConfig::default()
-            };
-            let groups = multi_round_grouping(&profiles, &cfg);
-            check_partition(&groups, profiles.len(), max_group_size);
-            match &reference {
-                None => reference = Some(groups),
-                Some(r) => prop_assert_eq!(
-                    r,
-                    &groups,
-                    "sharded grouping diverged at workers={}",
-                    workers
-                ),
-            }
-        }
+        reset_caches();
+        let cfg = GroupingConfig {
+            mode,
+            max_group_size,
+            shard_by: ShardBy::Force,
+            shard_size,
+            ..GroupingConfig::default()
+        };
+        let groups = multi_round_grouping(&profiles, &cfg);
+        check_partition(&groups, profiles.len(), max_group_size);
     }
 
     /// Re-running the same sharded config from cold caches reproduces

@@ -64,14 +64,6 @@ pub fn run_with(trace: &Trace, cfg: &SimConfig) -> SimReport {
 pub const KNOWN_DURATION_POLICIES: [PolicyKind; 3] =
     [PolicyKind::Srtf, PolicyKind::Srsf, PolicyKind::MuriS];
 
-/// The paper's duration-unaware policy set (Table 5 / Fig. 10).
-pub const UNKNOWN_DURATION_POLICIES: [PolicyKind; 4] = [
-    PolicyKind::Tiresias,
-    PolicyKind::AntMan,
-    PolicyKind::Themis,
-    PolicyKind::MuriL,
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +85,5 @@ mod tests {
     #[test]
     fn policy_sets_match_paper() {
         assert_eq!(KNOWN_DURATION_POLICIES.len(), 3);
-        assert_eq!(UNKNOWN_DURATION_POLICIES.len(), 4);
     }
 }

@@ -13,8 +13,7 @@
 //! — as the paper notes.
 
 use crate::efficiency::{
-    effective_cycle, effective_cycle_buf, group_efficiency, group_efficiency_on_cycle,
-    group_iteration_time_on_cycle,
+    effective_cycle, effective_cycle_buf, group_efficiency_on_cycle, group_iteration_time_on_cycle,
 };
 use muri_workload::{ResourceKind, SimDuration, StageProfile, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
@@ -228,15 +227,10 @@ pub fn choose_ordering(profiles: &[StageProfile], policy: OrderingPolicy) -> Cho
     }
 }
 
-/// Group efficiency under a chosen ordering (convenience for callers that
-/// already ran [`choose_ordering`]).
-pub fn ordering_efficiency(profiles: &[StageProfile], ordering: &ChosenOrdering) -> f64 {
-    group_efficiency(profiles, &ordering.offsets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::efficiency::group_efficiency;
     use muri_workload::SimDuration;
 
     fn secs(s: u64) -> SimDuration {

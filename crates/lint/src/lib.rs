@@ -2,7 +2,7 @@
 //!
 //! A workspace-specific static analysis pass enforcing the determinism
 //! and audit-coverage contracts everything in this reproduction rests
-//! on: bit-identical plans at 1/2/4 workers, byte-identical SimReports
+//! on: bit-identical plans on every rerun, byte-identical SimReports
 //! under seeded faults, replayable journals. Those contracts are
 //! otherwise enforced only dynamically — by tests that happen to
 //! exercise the right paths — and a single stray `HashMap` iteration or

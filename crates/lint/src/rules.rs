@@ -595,7 +595,7 @@ fn check_d005(file: &ScannedFile, ctx: &FileContext, out: &mut Vec<Violation>) {
 /// outlive the data they borrow only via `'static` bounds and make
 /// shutdown order nondeterministic; the workspace convention is
 /// `std::thread::scope` with joined scoped spawns (see
-/// `DenseGraph::build_symmetric` and `muri_sim::replicate`), which C001
+/// `muri_sim::replicate`), which C001
 /// deliberately does not match (`s.spawn(…)` has no `thread ::` prefix).
 fn check_c001(file: &ScannedFile, _ctx: &FileContext, out: &mut Vec<Violation>) {
     for ci in 0..file.code_len() {
@@ -617,7 +617,7 @@ fn check_c001(file: &ScannedFile, _ctx: &FileContext, out: &mut Vec<Violation>) 
                     RuleId::C001,
                     format!(
                         "raw `thread::{next}`: use std::thread::scope with joined \
-                         scoped spawns (the DenseGraph::build_symmetric pattern) so \
+                         scoped spawns (the muri_sim::replicate pattern) so \
                          threads cannot outlive their inputs"
                     ),
                 );

@@ -83,18 +83,6 @@ impl DenseGraph {
         &self.w[u * self.n..(u + 1) * self.n]
     }
 
-    /// Build a complete graph from a scoring function over node pairs
-    /// (scores in `[0, 1]`, converted with [`weight_from_f64`]).
-    pub fn from_scores(n: usize, mut score: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut g = DenseGraph::new(n);
-        for u in 0..n {
-            for v in u + 1..n {
-                g.set_weight(u, v, weight_from_f64(score(u, v)));
-            }
-        }
-        g
-    }
-
     /// True if any edge has positive weight (i.e. matching can gain
     /// anything at all).
     pub fn has_edges(&self) -> bool {
@@ -102,68 +90,14 @@ impl DenseGraph {
     }
 
     /// Build a symmetric graph by scoring every upper-triangle pair
-    /// `(u, v)`, `u < v`, across `workers` scoped threads. A score of 0
-    /// means "no edge"; scores must be non-negative.
-    ///
-    /// The result is **identical to the serial double loop for every
-    /// worker count**: each pair's weight is an independent pure function
-    /// of `(u, v)`, workers own disjoint row ranges of the weight matrix,
-    /// and no worker observes another's writes. `workers ≤ 1` (or fewer
-    /// than two nodes) runs inline on the calling thread without spawning.
-    pub fn build_symmetric(
-        n: usize,
-        workers: usize,
-        score: impl Fn(usize, usize) -> i64 + Sync,
-    ) -> Self {
+    /// `(u, v)`, `u < v`. A score of 0 or below means "no edge".
+    pub fn build_symmetric(n: usize, score: impl Fn(usize, usize) -> i64) -> Self {
         let mut g = DenseGraph::new(n);
-        if n < 2 {
-            return g;
-        }
-        let workers = workers.clamp(1, n);
-        if workers == 1 {
-            for u in 0..n {
-                for v in u + 1..n {
-                    let w = score(u, v);
-                    if w > 0 {
-                        g.set_weight(u, v, w);
-                    }
-                }
-            }
-            return g;
-        }
-        {
-            let score = &score;
-            // Hand each worker a striped set of rows: row `u` holds the
-            // pairs `(u, v)` with `v > u`, so striping by `u % workers`
-            // balances the triangular workload.
-            let mut stripes: Vec<Vec<(usize, &mut [i64])>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (u, row) in g.w.chunks_mut(n).enumerate() {
-                stripes[u % workers].push((u, row));
-            }
-            std::thread::scope(|s| {
-                for stripe in stripes {
-                    s.spawn(move || {
-                        for (u, row) in stripe {
-                            for (v, slot) in row.iter_mut().enumerate().skip(u + 1) {
-                                let w = score(u, v);
-                                assert!(w >= 0, "edge weights must be non-negative, got {w}");
-                                if w > 0 {
-                                    *slot = w;
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        // Mirror the upper triangle into the lower one so the matrix is
-        // symmetric, exactly as set_weight maintains it.
         for u in 0..n {
             for v in u + 1..n {
-                let w = g.w[u * n + v];
+                let w = score(u, v);
                 if w > 0 {
-                    g.w[v * n + u] = w;
+                    g.set_weight(u, v, w);
                 }
             }
         }
@@ -334,12 +268,5 @@ mod tests {
             ..m.clone()
         };
         assert!(bad.validate(&g).is_err());
-    }
-
-    #[test]
-    fn from_scores_builds_complete_graph() {
-        let g = DenseGraph::from_scores(3, |u, v| (u + v) as f64 / 10.0);
-        assert_eq!(g.weight(0, 1), weight_from_f64(0.1));
-        assert_eq!(g.weight(1, 2), weight_from_f64(0.3));
     }
 }

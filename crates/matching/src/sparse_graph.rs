@@ -134,11 +134,6 @@ impl SparseGraph {
         (&self.cols[lo..hi], &self.weights[lo..hi])
     }
 
-    /// Number of neighbours of `u`.
-    pub fn degree(&self, u: usize) -> usize {
-        self.row_ptr[u + 1] - self.row_ptr[u]
-    }
-
     /// Weight of edge `(u, v)`, `0` when absent. Order-insensitive.
     pub fn weight(&self, u: usize, v: usize) -> i64 {
         let (cols, weights) = self.neighbors(u);

@@ -439,12 +439,6 @@ pub fn load_state(dir: &Path) -> Result<(Vec<OpRecord>, Vec<OpRecord>), String> 
     Ok((read(SNAPSHOT_FILE)?, read(OPLOG_FILE)?))
 }
 
-/// Whether `dir` holds a recoverable state (a snapshot file exists).
-#[must_use]
-pub fn state_exists(dir: &Path) -> bool {
-    dir.join(SNAPSHOT_FILE).is_file()
-}
-
 /// Write a plain text file (the telemetry-journal flush on shutdown).
 /// Lives here so every daemon filesystem write stays in the one
 /// D005-sanctioned module.
@@ -544,7 +538,6 @@ mod tests {
         let (snap, live) = load_state(&dir).expect("load");
         assert_eq!(snap.len(), 3, "header + compacted history");
         assert_eq!(live.len(), 4, "header + suffix ops");
-        assert!(state_exists(&dir));
         let _ = fs::remove_dir_all(&dir);
     }
 }

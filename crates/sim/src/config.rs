@@ -130,16 +130,6 @@ impl FaultPlan {
         self.machine_mtbf.is_some() || self.degraded_machines > 0
     }
 
-    /// True when any fault feature is enabled.
-    pub fn any_active(&self) -> bool {
-        self.mtbf.is_some()
-            || self.health_active()
-            || self.spot_active()
-            || self.hetero_active()
-            || self.elastic_active()
-            || self.slo_active()
-    }
-
     /// True when spot/preemptible evictions are in play.
     pub fn spot_active(&self) -> bool {
         self.spot_machines > 0 && self.spot_mtbe.is_some()
@@ -322,7 +312,6 @@ mod tests {
             slo_fraction: 0.5,
             ..FaultPlan::default()
         };
-        assert!(plan.any_active());
         // fraction = 1 accepts every job; draws are repeatable.
         for id in 0..32 {
             assert!(plan.job_is_elastic(id));

@@ -153,54 +153,6 @@ impl SimReport {
         )
     }
 
-    /// Export per-job records as CSV (`job_id,model,gpus,submit_s,
-    /// start_s,finish_s,jct_s,attained_s,restarts,faults`).
-    pub fn records_to_csv(&self) -> String {
-        let mut out = String::from(
-            "job_id,model,gpus,submit_s,start_s,finish_s,jct_s,attained_s,restarts,faults\n",
-        );
-        let opt =
-            |t: Option<SimTime>| t.map_or(String::new(), |t| format!("{:.3}", t.as_secs_f64()));
-        for r in &self.records {
-            out.push_str(&format!(
-                "{},{},{},{:.3},{},{},{},{:.3},{},{}\n",
-                r.id.0,
-                r.model.name(),
-                r.num_gpus,
-                r.submit.as_secs_f64(),
-                opt(r.first_start),
-                opt(r.finish),
-                r.jct()
-                    .map_or(String::new(), |d| format!("{:.3}", d.as_secs_f64())),
-                r.attained.as_secs_f64(),
-                r.restarts,
-                r.faults
-            ));
-        }
-        out
-    }
-
-    /// Export the sampled time series as CSV (`time_s,queue,running,
-    /// used_gpus,blocking,io,cpu,gpu,net`).
-    pub fn series_to_csv(&self) -> String {
-        let mut out = String::from("time_s,queue,running,used_gpus,blocking,io,cpu,gpu,net\n");
-        for s in &self.series {
-            out.push_str(&format!(
-                "{:.1},{},{},{},{:.4},{:.4},{:.4},{:.4},{:.4}\n",
-                s.time.as_secs_f64(),
-                s.queue_length,
-                s.running_jobs,
-                s.used_gpus,
-                s.blocking_index,
-                s.utilization[muri_workload::ResourceKind::Storage],
-                s.utilization[muri_workload::ResourceKind::Cpu],
-                s.utilization[muri_workload::ResourceKind::Gpu],
-                s.utilization[muri_workload::ResourceKind::Network],
-            ));
-        }
-        out
-    }
-
     /// Average blocking index over samples with a non-empty queue.
     pub fn avg_blocking_index(&self) -> f64 {
         let xs: Vec<f64> = self
@@ -279,20 +231,6 @@ mod tests {
         assert_eq!(rep.p99_jct_secs(), 0.0);
         assert!(rep.all_finished());
         assert_eq!(rep.avg_queue_length(), 0.0);
-    }
-
-    #[test]
-    fn csv_exports_have_headers_and_rows() {
-        let rep = report(vec![record(1, 0, Some(10)), record(2, 5, None)]);
-        let records = rep.records_to_csv();
-        assert!(records.starts_with("job_id,model,"));
-        assert_eq!(records.lines().count(), 3);
-        // Unfinished jobs leave finish/jct empty but keep the row arity.
-        let last = records.lines().last().unwrap();
-        assert_eq!(last.split(',').count(), 10, "{last}");
-        let series = rep.series_to_csv();
-        assert!(series.starts_with("time_s,"));
-        assert_eq!(series.lines().count(), 1, "no samples, header only");
     }
 
     #[test]

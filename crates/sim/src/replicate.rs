@@ -85,8 +85,7 @@ fn run_replica(synth: &SynthConfig, sim: &SimConfig, i: usize) -> Observation {
 /// config re-seeded per replica) under one scheduler configuration.
 ///
 /// Replicas are independent (each gets its own deterministically derived
-/// seed), so they run on scoped worker threads — the same striped
-/// pattern as `DenseGraph::build_symmetric`: each worker owns a disjoint
+/// seed), so they run on striped scoped worker threads: each worker owns a disjoint
 /// slice of the result vector, writes are contention-free, and the
 /// summary is computed from the replica-ordered observations, so the
 /// output is bit-identical to the sequential run.

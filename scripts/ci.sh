@@ -64,9 +64,10 @@
 #      (no busy-polling), and require a clean graceful exit
 #
 # `scripts/ci.sh --deep` additionally runs the core/matching test suites
-# under Miri and a ThreadSanitizer build when a nightly toolchain with
-# those components is installed; without one, each deep step prints a
-# skip notice and the gate result is unaffected.
+# under Miri, and the sim/serve suites (the crates that spawn threads)
+# under a ThreadSanitizer build, when a nightly toolchain with those
+# components is installed; without one, each deep step prints a skip
+# notice and the gate result is unaffected.
 #
 # Everything is offline-safe: all dependencies are vendored under
 # vendor/, so no network access is needed or attempted.
@@ -312,14 +313,14 @@ if [ "$deep" = 1 ]; then
         echo "ci: skipping Miri — no nightly toolchain with the miri component installed"
     fi
 
-    echo "==> deep: ThreadSanitizer build (muri-core, muri-matching)"
+    echo "==> deep: ThreadSanitizer build (muri-sim, muri-serve)"
     # -Zsanitizer=thread needs the std sources (-Zbuild-std), so both a
     # nightly toolchain and its rust-src component must be present.
     if rustup run nightly rustc --version >/dev/null 2>&1 &&
         rustup component list --toolchain nightly 2>/dev/null |
         grep -q "rust-src (installed)"; then
         RUSTFLAGS="-Zsanitizer=thread" \
-            rustup run nightly cargo test -p muri-core -p muri-matching -q \
+            rustup run nightly cargo test -p muri-sim -p muri-serve -q \
             -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')"
     else
         echo "ci: skipping ThreadSanitizer — no nightly toolchain with rust-src installed"
