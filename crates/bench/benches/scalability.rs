@@ -26,10 +26,9 @@ fn bench_grouping_1000(c: &mut Criterion) {
 }
 
 /// Cold-start grouping at n = 1000, dense Blossom vs the default top-m
-/// pruned solver. Both caches are reset inside the timed closure so
-/// every iteration pays the full graph-build + matching cost the first
-/// scheduling pass after a queue change pays (the reset itself is
-/// nanoseconds against a multi-millisecond solve). The acceptance
+/// pruned solver. The γ cache is reset inside the timed closure so
+/// every iteration pays the full γ + graph-build + matching cost (the
+/// reset itself is nanoseconds against a multi-millisecond solve). The acceptance
 /// criterion compares these two medians: pruned must be ≥ 5× faster.
 fn bench_cold_start_pruning(c: &mut Criterion) {
     let mut group = c.benchmark_group("scalability");
@@ -46,7 +45,6 @@ fn bench_cold_start_pruning(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new(name, 1000), &profiles, |b, profiles| {
             b.iter(|| {
-                muri_core::round_cache::reset();
                 muri_core::gamma_cache::reset();
                 multi_round_grouping(black_box(profiles), cfg)
             });
@@ -88,7 +86,6 @@ fn bench_cold_start_sharded(c: &mut Criterion) {
             &profiles,
             |b, profiles| {
                 b.iter(|| {
-                    muri_core::round_cache::reset();
                     muri_core::gamma_cache::reset();
                     multi_round_grouping(black_box(profiles), &cfg)
                 });

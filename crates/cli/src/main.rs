@@ -1180,9 +1180,9 @@ fn split_fault_opts(args: &[String]) -> Result<(FaultOpts, Vec<String>), CliErro
                 let f: f64 = value("a factor")?
                     .parse()
                     .map_err(|_| CliError::usage("bad --degraded-slowdown value"))?;
-                if f < 1.0 {
+                if !(f.is_finite() && f >= 1.0) {
                     return Err(CliError::usage(format!(
-                        "degraded slowdown {f} must be >= 1"
+                        "degraded slowdown {f} must be a finite factor >= 1"
                     )));
                 }
                 opts.degraded_slowdown = Some(f);

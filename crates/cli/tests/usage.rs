@@ -1,6 +1,6 @@
-//! The `muri` binary's usage errors: malformed `--scale` and
-//! `--machines` values exit 2 before any work starts, on every
-//! subcommand that takes them.
+//! The `muri` binary's usage errors: malformed `--scale`, `--machines`
+//! and `--degraded-slowdown` values exit 2 before any work starts, on
+//! every subcommand that takes them.
 #![allow(clippy::expect_used)] // test code: panics are failures
 
 use std::process::Command;
@@ -29,6 +29,20 @@ fn zero_machines_is_a_usage_error() {
     for cmd in [&["sim", "muri-l"][..], &["verify"][..], &["serve"][..]] {
         let args: Vec<&str> = cmd.iter().copied().chain(["--machines", "0"]).collect();
         assert_eq!(exit_code(&args), Some(2), "muri {}", args.join(" "));
+    }
+}
+
+#[test]
+fn non_finite_degraded_slowdowns_are_usage_errors() {
+    for cmd in [&["sim", "muri-l"][..], &["verify"][..]] {
+        for factor in ["nan", "inf"] {
+            let args: Vec<&str> = cmd
+                .iter()
+                .copied()
+                .chain(["--degraded", "1", "--degraded-slowdown", factor])
+                .collect();
+            assert_eq!(exit_code(&args), Some(2), "muri {}", args.join(" "));
+        }
     }
 }
 

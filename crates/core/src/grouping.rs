@@ -14,20 +14,15 @@
 //! ## Performance structure
 //!
 //! The hot path is scoring `O(n²)` candidate pairs and matching them,
-//! every scheduler tick. Three layers keep that cheap (see DESIGN.md's
-//! Performance section):
+//! every scheduler tick. Each grouping call builds its round graphs from
+//! the bucket's current nodes and solves them; nothing is carried across
+//! calls but the γ memo (see DESIGN.md's Performance section):
 //!
 //! * γ lookups go through the bounded, allocation-free
 //!   [`crate::gamma_cache`] (canonicalized fixed-size keys, segmented
 //!   eviction);
-//! * round-1 graphs, matchings, and final groups are memoized across
-//!   calls in [`crate::round_cache`], so an unchanged bucket re-groups
-//!   without touching the matcher;
-//! * between rounds, edge weights are **incremental**: pairs of nodes
-//!   that survived a merge round unchanged copy their weight from the
-//!   previous round's graph instead of recomputing γ.
-
-use std::rc::Rc;
+//! * within one capacity-aware call, a bucket that no merge touched in
+//!   the last round keeps its matched pairs instead of re-solving.
 
 use muri_interleave::OrderingPolicy;
 use muri_matching::{
@@ -38,8 +33,8 @@ use muri_telemetry::timed_us;
 use muri_workload::{StageProfile, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
 
+use crate::gamma_cache;
 use crate::shard::{self, ShardBy, ShardCounters};
-use crate::{gamma_cache, round_cache};
 
 /// How jobs are grouped for interleaving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -155,8 +150,8 @@ pub fn merged_efficiency(profiles: &[StageProfile], ordering: OrderingPolicy) ->
 /// Edge weight for merging two nodes: the fixed-point interleaving
 /// efficiency of the combined member set, or 0 (no edge) when the merge
 /// would exceed the size cap or fall below the efficiency threshold.
-/// Pure in `(u, v)` — this is what makes incremental edge construction
-/// exact.
+/// Pure in the two member sets — the sharded planner's class table
+/// relies on it.
 pub(crate) fn node_pair_weight(
     members_u: &[usize],
     members_v: &[usize],
@@ -210,71 +205,29 @@ fn build_node_graph(
     })
 }
 
-/// Rebuild a round graph after merges, incrementally: a pair of nodes
-/// that both survived the previous round unchanged has an unchanged
-/// member set, so its weight is copied from the previous graph; only
-/// pairs involving a freshly merged node are rescored.
-fn update_node_graph(
-    prev: &DenseGraph,
-    provenance: &[Option<usize>],
-    nodes: &[Vec<usize>],
-    profiles: &[StageProfile],
-    cfg: &GroupingConfig,
-    cap: usize,
-) -> DenseGraph {
-    DenseGraph::build_symmetric(nodes.len(), |u, v| match (provenance[u], provenance[v]) {
-        (Some(a), Some(b)) => prev.weight(a, b),
-        _ => node_pair_weight(
-            &nodes[u],
-            &nodes[v],
-            profiles,
-            cap,
-            cfg.ordering,
-            cfg.min_efficiency,
-        ),
-    })
-}
-
 /// Merge matched pairs into single nodes: merged pairs first, then
 /// surviving nodes, finally sorted by smallest member index (the
 /// highest-priority job in the group — keeps output deterministic).
-/// Also returns the provenance map for incremental edge weights:
-/// `provenance[new] = Some(old)` when new node `new` is old node `old`
-/// unchanged, `None` when it was freshly merged this round.
-fn merge_nodes(
-    nodes: &[Vec<usize>],
-    pairs: &[(usize, usize)],
-) -> (Vec<Vec<usize>>, Vec<Option<usize>>) {
-    let mut next: Vec<(Vec<usize>, Option<usize>)> = Vec::with_capacity(nodes.len());
+fn merge_nodes(nodes: &[Vec<usize>], pairs: &[(usize, usize)]) -> Vec<Vec<usize>> {
+    let mut next: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
     let mut consumed = vec![false; nodes.len()];
     for &(u, v) in pairs {
         let mut merged = nodes[u].clone();
         merged.extend(nodes[v].iter().copied());
         merged.sort_unstable();
-        next.push((merged, None));
+        next.push(merged);
         consumed[u] = true;
         consumed[v] = true;
     }
     for (u, node) in nodes.iter().enumerate() {
         if !consumed[u] {
-            next.push((node.clone(), Some(u)));
+            next.push(node.clone());
         }
     }
     // Smallest members are unique across nodes (the node sets partition
     // the index space), so this sort has no ties to break.
-    next.sort_by_key(|(g, _)| g[0]);
-    next.into_iter().unzip()
-}
-
-/// Slot in the round cache's per-mode arrays for a matching mode.
-fn mode_index(mode: GroupingMode) -> usize {
-    match mode {
-        GroupingMode::Blossom => 0,
-        GroupingMode::GreedyMatching => 1,
-        GroupingMode::None | GroupingMode::PriorityPacking => {
-            unreachable!("only matching modes reach the matcher")
-        }
-    }
+    next.sort_by_key(|g| g[0]);
+    next
 }
 
 /// Sparsification stats of one grouping call, for telemetry.
@@ -290,20 +243,6 @@ pub struct PruneCounters {
 /// The matcher-level prune config for a grouping config.
 pub(crate) fn prune_config(cfg: &GroupingConfig) -> PruneConfig {
     PruneConfig::new(cfg.prune_top_m, cfg.prune_loss_bound)
-}
-
-/// The round-cache key parameters for a grouping config.
-fn round_params(cfg: &GroupingConfig, cap: usize) -> round_cache::RoundParams {
-    round_cache::RoundParams {
-        cap,
-        ordering: cfg.ordering,
-        min_eff_bits: cfg.min_efficiency.to_bits(),
-        prune_top_m: cfg.prune_top_m,
-        prune_loss_bits: cfg.prune_loss_bound.to_bits(),
-        shard_by: cfg.shard_by,
-        shard_size: cfg.shard_size,
-        candidate_m: cfg.candidate_m,
-    }
 }
 
 /// Run the configured matcher on a round graph. Blossom goes through the
@@ -382,9 +321,6 @@ pub fn multi_round_grouping(profiles: &[StageProfile], cfg: &GroupingConfig) -> 
 }
 
 /// Wall-clock sub-phase timings of one grouping call, for telemetry.
-/// Graph build and matching cover only work actually performed — a
-/// bucket answered by the round cache contributes zero to both (the
-/// cache hit shows up in [`crate::round_cache::stats`] instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupingTimings {
     /// Microseconds spent building round edge-weight graphs.
@@ -394,8 +330,8 @@ pub struct GroupingTimings {
     /// Matching rounds executed across all buckets.
     pub rounds: u32,
     /// Edges dropped by the sparsification pass (0 when pruning is
-    /// disabled or every matcher run was answered by the round cache),
-    /// including within-shard pruning on the sharded planner path.
+    /// disabled), including within-shard pruning on the sharded planner
+    /// path.
     pub pruned_edges: u64,
     /// Dense fallbacks taken because the loss certificate failed
     /// (within-shard prune fallbacks included).
@@ -421,21 +357,16 @@ pub struct BucketInput {
     pub profiles: Vec<StageProfile>,
 }
 
-/// Per-bucket round state carried across the capacity-aware demand loop:
-/// the current round graph, the matching solved on it, and — when merges
-/// were applied since the graph was built — the provenance map that lets
-/// the next round update the graph incrementally.
+/// Per-bucket round state carried across the capacity-aware demand loop.
+/// Merges clear `pairs`; a bucket no merge touched keeps its last round.
 struct BucketRoundState {
-    graph: Option<Rc<DenseGraph>>,
-    matching: Option<Rc<Matching>>,
-    pending: Option<Vec<Option<usize>>>,
+    /// The current nodes' matched pairs `(u, v, w)`; `None` until this
+    /// round is planned.
+    pairs: Option<Vec<(usize, usize, i64)>>,
     /// This bucket plans on the sharded path (decided from its initial
     /// size; flips to `false` permanently if a composed certificate
     /// fails at dense-fallback scale).
     sharded: bool,
-    /// The sharded plan for the current nodes, kept until merges make it
-    /// stale.
-    shard_pairs: Option<Rc<round_cache::ShardedPairs>>,
 }
 
 /// Capacity-aware grouping across buckets: merge jobs **only as far as
@@ -519,9 +450,7 @@ pub fn capacity_aware_grouping_timed(
     }
     // Matching modes: rounds of per-bucket matchings; accept the
     // highest-γ merges first, only while demand exceeds capacity.
-    let mode_idx = mode_index(cfg.mode);
     let prune = prune_config(cfg);
-    let params = round_params(cfg, cap);
     let timed = timings.is_some();
     let mut graph_us = 0u64;
     let mut match_us = 0u64;
@@ -531,11 +460,8 @@ pub fn capacity_aware_grouping_timed(
     let mut states: Vec<BucketRoundState> = buckets
         .iter()
         .map(|b| BucketRoundState {
-            graph: None,
-            matching: None,
-            pending: None,
+            pairs: None,
             sharded: shard::use_sharding(cfg, b.profiles.len()),
-            shard_pairs: None,
         })
         .collect();
     let max_rounds = 8;
@@ -552,113 +478,37 @@ pub fn capacity_aware_grouping_timed(
                 continue;
             }
             let st = &mut states[bi];
-            if st.sharded {
+            if st.pairs.is_none() && st.sharded {
                 // Sharded planning path: no dense graph ever exists for
-                // this bucket. Recompute the plan only when merges made
-                // the previous one stale.
-                if st.pending.take().is_some() {
-                    st.shard_pairs = None;
-                }
-                if st.shard_pairs.is_none() {
-                    let singletons = ns.len() == b.profiles.len();
-                    let computed = if singletons {
-                        // Round 1 keys on exactly the profile list —
-                        // memoized across calls (and across ticks).
-                        round_cache::sharded_round1(&b.profiles, params, mode_idx, || {
-                            timed_us(timed, &mut match_us, || {
-                                shard::sharded_round(ns, &b.profiles, cfg, cap, &mut shard_counters)
-                            })
-                        })
-                    } else {
-                        timed_us(timed, &mut match_us, || {
-                            shard::sharded_round(ns, &b.profiles, cfg, cap, &mut shard_counters)
-                        })
-                        .map(Rc::new)
-                    };
-                    match computed {
-                        Some(pairs) => st.shard_pairs = Some(pairs),
-                        None => {
-                            // Composed certificate failed at a size the
-                            // dense matrix can afford: this bucket goes
-                            // dense from here on.
-                            st.sharded = false;
-                        }
-                    }
-                }
-                if st.sharded {
-                    if let Some(pairs) = &st.shard_pairs {
-                        for &(u, v, w) in pairs.iter() {
-                            candidates.push((w, bi, u, v));
-                        }
-                    }
-                    continue;
-                }
+                // this bucket.
+                st.pairs = timed_us(timed, &mut match_us, || {
+                    shard::sharded_round(ns, &b.profiles, cfg, cap, &mut shard_counters)
+                });
+                // `None`: the composed certificate failed at a size the
+                // dense matrix can afford, so this bucket goes dense from
+                // here on.
+                st.sharded = st.pairs.is_some();
             }
-            match (st.graph.take(), st.pending.take()) {
-                (None, _) if ns.len() == b.profiles.len() => {
-                    // Round 1: nodes are singletons, so this bucket's
-                    // graph and matching key on exactly its profile list
-                    // — memoized across calls (and across ticks).
-                    let r = round_cache::round1(
-                        &b.profiles,
-                        params,
-                        mode_idx,
-                        || {
-                            timed_us(timed, &mut graph_us, || {
-                                build_node_graph(ns, &b.profiles, cfg, cap)
-                            })
-                        },
-                        |g| {
-                            timed_us(timed, &mut match_us, || {
-                                solve_matching(cfg.mode, g, &prune, &mut prune_counters)
-                            })
-                        },
+            if st.pairs.is_none() {
+                let graph = timed_us(timed, &mut graph_us, || {
+                    build_node_graph(ns, &b.profiles, cfg, cap)
+                });
+                let mut pairs = Vec::new();
+                if graph.has_edges() {
+                    let matching = timed_us(timed, &mut match_us, || {
+                        solve_matching(cfg.mode, &graph, &prune, &mut prune_counters)
+                    });
+                    pairs.extend(
+                        matching
+                            .pairs()
+                            .into_iter()
+                            .map(|(u, v)| (u, v, graph.weight(u, v))),
                     );
-                    st.graph = Some(r.graph);
-                    st.matching = r.matching;
                 }
-                (None, _) => {
-                    // Mid-flight sharded→dense fallback: nodes have
-                    // already merged, so the round-1 memo (keyed on
-                    // singletons) does not apply — build directly.
-                    let g = timed_us(timed, &mut graph_us, || {
-                        build_node_graph(ns, &b.profiles, cfg, cap)
-                    });
-                    let any = g.has_edges();
-                    let g = Rc::new(g);
-                    st.matching = any.then(|| {
-                        Rc::new(timed_us(timed, &mut match_us, || {
-                            solve_matching(cfg.mode, &g, &prune, &mut prune_counters)
-                        }))
-                    });
-                    st.graph = Some(g);
-                }
-                (Some(prev), Some(provenance)) => {
-                    // Merges were applied: refresh the graph
-                    // incrementally and re-match.
-                    let g = timed_us(timed, &mut graph_us, || {
-                        update_node_graph(&prev, &provenance, ns, &b.profiles, cfg, cap)
-                    });
-                    let any = g.has_edges();
-                    let g = Rc::new(g);
-                    st.matching = any.then(|| {
-                        Rc::new(timed_us(timed, &mut match_us, || {
-                            solve_matching(cfg.mode, &g, &prune, &mut prune_counters)
-                        }))
-                    });
-                    st.graph = Some(g);
-                }
-                (Some(prev), None) => {
-                    // No merges accepted here last round: graph and
-                    // matching are both still current — reuse as-is.
-                    st.graph = Some(prev);
-                }
+                st.pairs = Some(pairs);
             }
-            let (Some(graph), Some(matching)) = (&st.graph, &st.matching) else {
-                continue;
-            };
-            for (u, v) in matching.pairs() {
-                candidates.push((graph.weight(u, v), bi, u, v));
+            for &(u, v, w) in st.pairs.iter().flatten() {
+                candidates.push((w, bi, u, v));
             }
         }
         if candidates.is_empty() {
@@ -703,9 +553,8 @@ pub fn capacity_aware_grouping_timed(
                 continue;
             }
             progressed = true;
-            let (next, provenance) = merge_nodes(&nodes[bi], merges);
-            nodes[bi] = next;
-            states[bi].pending = Some(provenance);
+            nodes[bi] = merge_nodes(&nodes[bi], merges);
+            states[bi].pairs = None;
         }
         if !progressed {
             break;
@@ -732,68 +581,32 @@ fn matched_grouping(
     if profiles.len() < 2 {
         return (0..profiles.len()).map(|i| vec![i]).collect();
     }
-    let mode_idx = mode_index(cfg.mode);
-    let prune = prune_config(cfg);
-    let params = round_params(cfg, cap);
-    // Sparsification stats of the ablation path are not reported —
-    // telemetry collects them on the capacity-aware scheduler path.
-    let mut prune_counters = PruneCounters::default();
-    // An exactly repeated call (same profiles, cap, policy, threshold,
-    // prune config) returns the memoized groups without touching the
-    // matcher.
-    if let Some(groups) = round_cache::cached_final_groups(profiles, params, mode_idx) {
-        return groups;
-    }
     if shard::use_sharding(cfg, profiles.len()) {
         let mut counters = ShardCounters::default();
         if let Some(groups) = sharded_matched_grouping(profiles, cfg, cap, &mut counters) {
-            round_cache::store_final_groups(profiles, params, mode_idx, &groups);
             return groups;
         }
         // A composed certificate failed at dense-fallback scale: run the
         // dense rounds below from scratch (deterministic either way).
     }
+    let prune = prune_config(cfg);
+    // Sparsification stats of the ablation path are not reported —
+    // telemetry collects them on the capacity-aware scheduler path.
+    let mut prune_counters = PruneCounters::default();
     // Nodes start as singletons; each round merges matched pairs.
     let mut nodes: Vec<Vec<usize>> = (0..profiles.len()).map(|i| vec![i]).collect();
     let rounds = (usize::BITS - (cap.max(1) - 1).leading_zeros()) as usize; // ceil(log2(cap))
-                                                                            // The previous round's graph plus the provenance of `nodes` relative
-                                                                            // to it, for incremental edge weights.
-    let mut carried: Option<(Rc<DenseGraph>, Vec<Option<usize>>)> = None;
     for _ in 0..rounds {
         if nodes.len() < 2 {
             break;
         }
-        let (graph, any_edge, matching) = match carried.take() {
-            None => {
-                let r = round_cache::round1(
-                    profiles,
-                    params,
-                    mode_idx,
-                    || build_node_graph(&nodes, profiles, cfg, cap),
-                    |g| solve_matching(cfg.mode, g, &prune, &mut prune_counters),
-                );
-                (r.graph, r.any_edge, r.matching)
-            }
-            Some((prev, provenance)) => {
-                let g = update_node_graph(&prev, &provenance, &nodes, profiles, cfg, cap);
-                let any = g.has_edges();
-                let g = Rc::new(g);
-                let m =
-                    any.then(|| Rc::new(solve_matching(cfg.mode, &g, &prune, &mut prune_counters)));
-                (g, any, m)
-            }
-        };
-        if !any_edge {
+        let graph = build_node_graph(&nodes, profiles, cfg, cap);
+        if !graph.has_edges() {
             break;
         }
-        let Some(matching) = matching else {
-            break;
-        };
-        let (next, provenance) = merge_nodes(&nodes, &matching.pairs());
-        nodes = next;
-        carried = Some((graph, provenance));
+        let matching = solve_matching(cfg.mode, &graph, &prune, &mut prune_counters);
+        nodes = merge_nodes(&nodes, &matching.pairs());
     }
-    round_cache::store_final_groups(profiles, params, mode_idx, &nodes);
     nodes
 }
 
@@ -807,29 +620,18 @@ fn sharded_matched_grouping(
     cap: usize,
     counters: &mut ShardCounters,
 ) -> Option<Vec<Vec<usize>>> {
-    let mode_idx = mode_index(cfg.mode);
-    let params = round_params(cfg, cap);
     let mut nodes: Vec<Vec<usize>> = (0..profiles.len()).map(|i| vec![i]).collect();
     let rounds = (usize::BITS - (cap.max(1) - 1).leading_zeros()) as usize; // ceil(log2(cap))
-    for round in 0..rounds {
+    for _ in 0..rounds {
         if nodes.len() < 2 {
             break;
         }
-        let pairs = if round == 0 {
-            // Round 1 keys on exactly the profile list — memoized across
-            // calls. Only certified plans enter the memo.
-            round_cache::sharded_round1(profiles, params, mode_idx, || {
-                shard::sharded_round(&nodes, profiles, cfg, cap, counters)
-            })?
-        } else {
-            Rc::new(shard::sharded_round(&nodes, profiles, cfg, cap, counters)?)
-        };
+        let pairs = shard::sharded_round(&nodes, profiles, cfg, cap, counters)?;
         if pairs.is_empty() {
             break;
         }
         let merges: Vec<(usize, usize)> = pairs.iter().map(|&(u, v, _)| (u, v)).collect();
-        let (next, _) = merge_nodes(&nodes, &merges);
-        nodes = next;
+        nodes = merge_nodes(&nodes, &merges);
     }
     Some(nodes)
 }
@@ -1095,29 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_grouping_hits_the_round_cache() {
-        crate::round_cache::reset();
-        let profiles: Vec<StageProfile> = (0..12)
-            .map(|i| cpu_gpu(1 + (i % 4) as u64, 4 - (i % 4) as u64))
-            .collect();
-        let cfg = GroupingConfig::default();
-        let first = multi_round_grouping(&profiles, &cfg);
-        let before = crate::round_cache::stats();
-        let second = multi_round_grouping(&profiles, &cfg);
-        let after = crate::round_cache::stats();
-        assert_eq!(first, second);
-        assert!(
-            after.hits > before.hits,
-            "second identical call must hit the memo: {before:?} -> {after:?}"
-        );
-        assert_eq!(
-            after.misses, before.misses,
-            "second identical call must not miss"
-        );
-        crate::round_cache::reset();
-    }
-
-    #[test]
     fn threshold_filter_agrees_with_quantized_weights() {
         use muri_matching::WEIGHT_SCALE;
         let grid = |k: i64, frac: f64| (k as f64 + frac) / WEIGHT_SCALE as f64;
@@ -1151,9 +930,7 @@ mod tests {
             prune_top_m: 2,
             ..GroupingConfig::default()
         };
-        crate::round_cache::reset();
         let a = multi_round_grouping(&profiles, &cfg);
-        crate::round_cache::reset();
         let b = multi_round_grouping(&profiles, &cfg);
         assert_eq!(a, b);
         assert_partition(&a, 40, 4);
@@ -1171,7 +948,6 @@ mod tests {
             prune_top_m: 0,
             ..GroupingConfig::default()
         };
-        crate::round_cache::reset();
         let pruned = multi_round_grouping(&profiles, &pruned_cfg);
         let dense = multi_round_grouping(&profiles, &dense_cfg);
         assert_eq!(pruned, dense);
@@ -1181,7 +957,6 @@ mod tests {
     fn prune_counters_reach_timings_on_backlog() {
         // A single-GPU backlog far over capacity forces real matcher runs;
         // with an aggressive prune width the counters must register drops.
-        crate::round_cache::reset();
         let profiles: Vec<StageProfile> = (0..30)
             .map(|i| cpu_gpu(1 + (i % 5) as u64, 5 - (i % 5) as u64))
             .collect();
@@ -1199,7 +974,6 @@ mod tests {
         );
         let total: usize = groups[0].iter().map(Vec::len).sum();
         assert_eq!(total, 30);
-        crate::round_cache::reset();
     }
 
     #[test]
@@ -1209,7 +983,6 @@ mod tests {
         let profiles: Vec<StageProfile> = (0..80)
             .map(|i| cpu_gpu(1 + (i % 5) as u64, 5 - (i % 5) as u64))
             .collect();
-        crate::round_cache::reset();
         crate::gamma_cache::reset();
         multi_round_grouping(&profiles, &GroupingConfig::default());
         let s = crate::gamma_cache::stats();
@@ -1217,6 +990,5 @@ mod tests {
             s.hits + s.misses >= 80 * 79 / 2,
             "γ lookups escaped the caller's counters: {s:?}"
         );
-        crate::round_cache::reset();
     }
 }

@@ -10,10 +10,10 @@
 //!   greedy matching, group-size caps);
 //! * [`scheduler`] — per-tick planning: admission, GPU-count buckets,
 //!   grouping, and descending-GPU placement order;
-//! * [`gamma_cache`] / [`round_cache`] — the bounded thread-local
-//!   memoization layers behind grouping (γ values; round-1 graphs,
-//!   matchings, and final groups), with hit/miss counters and reset
-//!   hooks for tests.
+//! * [`gamma_cache`] — the bounded thread-local γ memo behind grouping,
+//!   with hit/miss counters and a reset hook for tests (the only state
+//!   grouping keeps across calls; [`round_cache`] holds only a no-op
+//!   `reset` for existing callers).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -18,11 +18,11 @@
 //! 5. groups are placed in descending order of GPU count, which "avoids
 //!    fragmentation and minimizes the number of nodes used by a job" (§5).
 
+use crate::gamma_cache;
 use crate::grouping::{
     capacity_aware_grouping_timed, BucketInput, GroupingConfig, GroupingMode, GroupingTimings,
 };
 use crate::policy::{PendingJob, PolicyKind};
-use crate::{gamma_cache, round_cache};
 use muri_interleave::{GroupMember, InterleaveGroup};
 use muri_telemetry::{CacheDelta, Event, PhaseTimer, PlanPhases, TelemetrySink};
 use muri_workload::{SimDuration, SimTime};
@@ -113,7 +113,7 @@ pub fn plan_schedule(
 
 /// [`plan_schedule`] with a telemetry sink: when the sink is enabled the
 /// pass emits one [`Event::PlanningPass`] (per-phase wall-clock
-/// durations, γ-/round-cache hit deltas) and one [`Event::GroupFormed`]
+/// durations, γ-cache hit deltas) and one [`Event::GroupFormed`]
 /// per planned group. A disabled sink takes the exact untimed path.
 pub fn plan_schedule_with(
     cfg: &SchedulerConfig,
@@ -124,10 +124,10 @@ pub fn plan_schedule_with(
 ) -> Vec<PlannedGroup> {
     let enabled = sink.is_enabled();
     let mut timer = PhaseTimer::start(enabled);
-    let (gamma_before, round_before) = if enabled {
-        (gamma_cache::stats(), round_cache::stats())
+    let gamma_before = if enabled {
+        gamma_cache::stats()
     } else {
-        (Default::default(), Default::default())
+        Default::default()
     };
 
     // 1. Priority order.
@@ -164,11 +164,9 @@ pub fn plan_schedule_with(
 
     // 4. Group each bucket, merging only as far as the free capacity
     //    requires (capacity-aware Algorithm 1). Bucket vectors are already
-    //    in priority order. When a bucket's contents are unchanged since
-    //    the previous tick — the common case between job events — its
-    //    round-1 edge weights and matching come straight from the
-    //    thread-local round cache instead of being recomputed (see
-    //    crate::round_cache).
+    //    in priority order. Every pass builds each bucket's round graphs
+    //    from its profiles; only γ values are memoized across ticks (see
+    //    crate::gamma_cache).
     let bucket_list: Vec<(&u32, &Vec<(PendingJob, usize)>)> = buckets.iter().rev().collect();
     let inputs: Vec<BucketInput> = bucket_list
         .iter()
@@ -279,7 +277,6 @@ pub fn plan_schedule_with(
                 });
             }
             let gamma_after = gamma_cache::stats();
-            let round_after = round_cache::stats();
             #[allow(clippy::cast_possible_truncation)]
             t.emit(Event::PlanningPass {
                 time: now,
@@ -310,10 +307,7 @@ pub fn plan_schedule_with(
                     hits: gamma_after.hits.saturating_sub(gamma_before.hits),
                     misses: gamma_after.misses.saturating_sub(gamma_before.misses),
                 },
-                round_cache: CacheDelta {
-                    hits: round_after.hits.saturating_sub(round_before.hits),
-                    misses: round_after.misses.saturating_sub(round_before.misses),
-                },
+                round_cache: CacheDelta::default(),
             });
         });
     }

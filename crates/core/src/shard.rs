@@ -58,6 +58,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::grouping::{node_pair_weight, prune_config, GroupingConfig, GroupingMode};
 
+/// Matched pairs `(u, v, w)` of one sharded planning round.
+pub(crate) type ShardedPairs = Vec<(usize, usize, i64)>;
+
 /// When the sharded planner engages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum ShardBy {
@@ -387,7 +390,7 @@ fn plan_subset(
     mode: GroupingMode,
     prune: PruneConfig,
     counters: &mut ShardCounters,
-) -> Vec<(usize, usize, i64)> {
+) -> ShardedPairs {
     let len = subset.len();
     if len < 2 {
         return Vec::new();
@@ -437,7 +440,7 @@ fn plan_subset(
             counters.prune_fallbacks += 1;
         }
     }
-    let mut pairs: Vec<(usize, usize, i64)> = Vec::new();
+    let mut pairs: ShardedPairs = Vec::new();
     for (shard, &t) in shards.iter().zip(&template_of) {
         for &(i, j, w) in &solves[t].pairs {
             pairs.push((shard[i as usize], shard[j as usize], w));
@@ -459,7 +462,7 @@ pub(crate) fn sharded_round(
     cfg: &GroupingConfig,
     cap: usize,
     counters: &mut ShardCounters,
-) -> Option<Vec<(usize, usize, i64)>> {
+) -> Option<ShardedPairs> {
     let n = nodes.len();
     if n < 2 {
         return Some(Vec::new());

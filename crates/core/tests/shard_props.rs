@@ -13,7 +13,7 @@
 //! * **Structural validity**: sharded groupings are exact partitions of
 //!   the job pool respecting `max_group_size`.
 
-use muri_core::{gamma_cache, merged_efficiency, multi_round_grouping, round_cache};
+use muri_core::{gamma_cache, merged_efficiency, multi_round_grouping};
 use muri_core::{GroupingConfig, GroupingMode, ShardBy};
 use muri_matching::weight_from_f64;
 use muri_workload::{SimDuration, StageProfile};
@@ -44,7 +44,6 @@ fn arb_class_pool() -> impl Strategy<Value = Vec<StageProfile>> {
 
 fn reset_caches() {
     gamma_cache::reset();
-    round_cache::reset();
 }
 
 /// The grouping objective at `max_group_size = 2`: summed quantized pair

@@ -35,6 +35,16 @@ pub fn fig11(scale: Scale) -> ExperimentReport {
             c
         }),
     ];
+    // One simulation per (trace, variant); both tables read its report.
+    let reports: Vec<Vec<SimReport>> = (1..=4)
+        .map(|i| {
+            let trace = simulation_trace(i, scale);
+            variants
+                .iter()
+                .map(|(_, cfg)| run_with(&trace, cfg))
+                .collect()
+        })
+        .collect();
     for (metric, f) in [
         (
             "Normalized average JCT",
@@ -46,12 +56,8 @@ pub fn fig11(scale: Scale) -> ExperimentReport {
             format!("fig11 — {metric} (normalized to Muri-L)"),
             &["Trace", "Muri-L", "w/ worst ordering", "w/o Blossom"],
         );
-        for i in 1..=4 {
-            let trace = simulation_trace(i, scale);
-            let runs: Vec<f64> = variants
-                .iter()
-                .map(|(_, cfg)| f(&run_with(&trace, cfg)))
-                .collect();
+        for (i, reports) in (1..).zip(&reports) {
+            let runs: Vec<f64> = reports.iter().map(f).collect();
             t.push_row(vec![
                 i.to_string(),
                 f2(1.0),
@@ -81,6 +87,16 @@ pub fn fig12(scale: Scale) -> ExperimentReport {
         c.scheduler.grouping.max_group_size = cap;
         variants.push((format!("Muri-L-{cap}"), c));
     }
+    // One simulation per (trace, variant); both tables read its report.
+    let reports: Vec<Vec<SimReport>> = (1..=4)
+        .map(|i| {
+            let trace = simulation_trace_t0(i, scale);
+            variants
+                .iter()
+                .map(|(_, cfg)| run_with(&trace, cfg))
+                .collect()
+        })
+        .collect();
     for (metric, f) in [
         (
             "Normalized average JCT",
@@ -92,12 +108,8 @@ pub fn fig12(scale: Scale) -> ExperimentReport {
             format!("fig12 — {metric} (normalized to Muri-L-4)"),
             &["Trace", "AntMan", "Muri-L-2", "Muri-L-3", "Muri-L-4"],
         );
-        for i in 1..=4 {
-            let trace = simulation_trace_t0(i, scale);
-            let runs: Vec<f64> = variants
-                .iter()
-                .map(|(_, cfg)| f(&run_with(&trace, cfg)))
-                .collect();
+        for (i, reports) in (1..).zip(&reports) {
+            let runs: Vec<f64> = reports.iter().map(f).collect();
             let base = runs[3];
             t.push_row(vec![
                 i.to_string(),

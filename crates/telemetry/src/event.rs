@@ -115,8 +115,7 @@ pub struct PlanPhases {
     pub graph_build_us: u64,
     /// Blossom / greedy matching rounds inside grouping.
     pub matching_us: u64,
-    /// Matching rounds executed (0 when every bucket fit outright or was
-    /// answered by the round cache).
+    /// Matching rounds executed (0 when every bucket fit outright).
     pub matching_rounds: u32,
     /// Edges dropped by the Blossom sparsification pass (0 when pruning
     /// is off or the matcher never ran). Journals predating the knob
@@ -233,7 +232,8 @@ pub enum Event {
         phases: PlanPhases,
         /// γ-cache hits/misses during the pass.
         gamma_cache: CacheDelta,
-        /// Round-cache hits/misses during the pass.
+        /// Always `{0, 0}`: the planner keeps no round memo. The field
+        /// stays so existing journals and readers keep their shape.
         round_cache: CacheDelta,
     },
     /// A machine-level fault killed every job the machine hosted (§5:

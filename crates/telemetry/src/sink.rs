@@ -132,7 +132,6 @@ impl Telemetry {
                 planned_jobs,
                 phases,
                 gamma_cache,
-                round_cache,
                 ..
             } => {
                 self.metrics.inc_counter(
@@ -141,20 +140,18 @@ impl Telemetry {
                     &[],
                     1,
                 );
-                for (cache, delta) in [("gamma", gamma_cache), ("round", round_cache)] {
-                    self.metrics.inc_counter(
-                        "muri_cache_hits_total",
-                        "Memoization cache hits by cache",
-                        &[("cache", cache)],
-                        delta.hits,
-                    );
-                    self.metrics.inc_counter(
-                        "muri_cache_misses_total",
-                        "Memoization cache misses by cache",
-                        &[("cache", cache)],
-                        delta.misses,
-                    );
-                }
+                self.metrics.inc_counter(
+                    "muri_cache_hits_total",
+                    "Memoization cache hits by cache",
+                    &[("cache", "gamma")],
+                    gamma_cache.hits,
+                );
+                self.metrics.inc_counter(
+                    "muri_cache_misses_total",
+                    "Memoization cache misses by cache",
+                    &[("cache", "gamma")],
+                    gamma_cache.misses,
+                );
                 self.metrics.inc_counter(
                     "muri_pruned_edges_total",
                     "Edges dropped by Blossom sparsification",

@@ -94,14 +94,6 @@ impl JobSpec {
         }
     }
 
-    /// Same spec with a different profile mode.
-    pub fn with_profile_mode(self, profile_mode: ProfileMode) -> Self {
-        JobSpec {
-            profile_mode,
-            ..self
-        }
-    }
-
     /// The job's *true* per-iteration stage profile (ground truth the
     /// simulator executes with; the scheduler sees the profiler's possibly
     /// noisy measurement instead).

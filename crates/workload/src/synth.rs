@@ -45,13 +45,6 @@ impl Default for GpuDistribution {
 }
 
 impl GpuDistribution {
-    /// A distribution that only ever yields single-GPU jobs.
-    pub fn single_gpu() -> Self {
-        GpuDistribution {
-            weights: vec![(1, 1.0)],
-        }
-    }
-
     /// Restrict to GPU counts `<= cap` (renormalizing implicitly).
     pub fn capped(mut self, cap: u32) -> Self {
         self.weights.retain(|&(g, _)| g <= cap);
@@ -388,7 +381,6 @@ mod tests {
     fn gpu_distribution_mean() {
         let d = GpuDistribution::default();
         assert!((d.mean() - 3.2).abs() < 1.0, "mean {}", d.mean());
-        assert_eq!(GpuDistribution::single_gpu().mean(), 1.0);
         let capped = GpuDistribution::default().capped(4);
         assert!(capped.weights.iter().all(|&(g, _)| g <= 4));
     }

@@ -48,11 +48,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked duration between two instants; `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -246,7 +241,6 @@ mod tests {
         assert_eq!(t.since(SimTime::from_secs(4)), SimDuration::from_secs(6));
         // `since` saturates when earlier is in the future.
         assert_eq!(SimTime::from_secs(1).since(t), SimDuration::ZERO);
-        assert_eq!(SimTime::from_secs(1).checked_since(t), None);
     }
 
     #[test]

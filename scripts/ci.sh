@@ -10,7 +10,9 @@
 #      "Static analysis"); any violation fails the build (exit 3)
 #   4. tests             cargo test --workspace -q, then again with the
 #      `audit` feature so the muri-verify debug hooks and the audited
-#      engine path are exercised
+#      engine path are exercised, then the standalone benchmark crate's
+#      own tests (benchmark/ is outside the workspace, so this is the
+#      only step that compiles it against the current library APIs)
 #   5. bench smoke       the criterion bench targets scripts/bench.sh
 #      relies on (including the serve daemon bench), run with `--test`
 #      (each body executes once, untimed) so a broken bench fails CI
@@ -98,6 +100,9 @@ cargo test --workspace -q
 
 echo "==> cargo test --workspace -q (with scheduler/engine audit hooks)"
 cargo test --workspace -q --features muri-sim/audit,muri-core/audit
+
+echo "==> cargo test --manifest-path benchmark/Cargo.toml (benchmark crate)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "==> bench smoke (scalability + algorithms + serve, --test mode)"
 cargo bench -p muri-bench --bench scalability --bench algorithms --bench serve -- --test
